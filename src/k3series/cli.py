@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .series import PrecisionError, first_mismatch, series_from_text
@@ -25,6 +24,14 @@ from . import kkv, lowgenus, vertex
 from .kkv import format_rational
 
 
+def _size(text):
+    """argparse type for the size flags: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="k3series",
@@ -34,36 +41,36 @@ def _parser():
     t = sub.add_parser("table", help="emit an invariant table")
     t.add_argument("--kind", required=True,
                    choices=["r", "R", "euler", "C", "euler_pk"])
-    t.add_argument("--gmax", type=int, default=6)
-    t.add_argument("--hmax", type=int, default=6)
-    t.add_argument("--nmax", type=int, default=10)
-    t.add_argument("--k", type=int, default=1, help="point insertions")
+    t.add_argument("--gmax", type=_size, default=6)
+    t.add_argument("--hmax", type=_size, default=6)
+    t.add_argument("--nmax", type=_size, default=10)
+    t.add_argument("--k", type=_size, default=1, help="point insertions")
     t.add_argument("--format", default="json", choices=["json", "csv", "text"])
     t.add_argument("--output", default="-")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True,
                    choices=["kkv", "points", "gwpt", "appendixB", "vertex"])
-    v.add_argument("--gmax", type=int, default=6)
-    v.add_argument("--hmax", type=int, default=6)
-    v.add_argument("--nmax", type=int, default=10)
-    v.add_argument("--kmax", type=int, default=2)
-    v.add_argument("--qorder", type=int, default=20)
-    v.add_argument("--uorder", type=int, default=12)
+    v.add_argument("--gmax", type=_size, default=6)
+    v.add_argument("--hmax", type=_size, default=6)
+    v.add_argument("--nmax", type=_size, default=10)
+    v.add_argument("--kmax", type=_size, default=2)
+    v.add_argument("--qorder", type=_size, default=20)
+    v.add_argument("--uorder", type=_size, default=12)
     v.add_argument("--mu", default="1", help="partition, comma separated")
-    v.add_argument("--excess", type=int, default=2)
+    v.add_argument("--excess", type=_size, default=2)
     v.add_argument("--output", default="-")
 
     r = sub.add_parser("recognize", help="recognize a q-series as quasimodular")
     r.add_argument("input", help="series file in the text format, or - for stdin")
-    r.add_argument("--weight-max", type=int, default=12)
+    r.add_argument("--weight-max", type=_size, default=12)
     r.add_argument("--delta-pole", action="store_true",
                    help="multiply by Delta(q) first (input has a q^-1 pole)")
     r.add_argument("--output", default="-")
 
     x = sub.add_parser("vertex", help="box configuration audit for a partition")
     x.add_argument("--mu", required=True, help="partition, comma separated")
-    x.add_argument("--excess", type=int, default=2)
+    x.add_argument("--excess", type=_size, default=2)
     x.add_argument("--audit", action="store_true",
                    help="fail (exit 3) when a sign bound is violated")
     x.add_argument("--format", default="json", choices=["json", "csv", "text"])
@@ -87,19 +94,6 @@ def _parse_mu(text):
     return vertex.normalize_partition(parts)
 
 
-def _check_threads_env():
-    raw = os.environ.get("KKV_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"KKV_THREADS must be a positive integer, got {raw!r}")
-    if val < 1:
-        raise ValueError(f"KKV_THREADS must be a positive integer, got {raw!r}")
-    # the implementation is sequential; any cap >= 1 is honored
-
-
 def _build_table(args):
     if args.kind == "r":
         return kkv.bps_r_table(args.gmax, args.hmax)
@@ -111,10 +105,7 @@ def _build_table(args):
         return kkv.point_series_pairs(args.k, args.nmax, args.hmax)
     # euler_pk: Euler characteristics with args.k point constraints
     top = args.nmax + 2 * args.hmax - 1
-    combined = {}
-    for j in range(0, max(top, args.k) + 1):
-        combined.update(kkv.point_series_pairs(j, args.nmax, args.hmax).entries)
-    c_table = kkv.InvariantTable("C_point", combined)
+    c_table = kkv.point_series_pairs_upto(top, args.nmax, args.hmax)
     entries = {}
     for h in range(0, args.hmax + 1):
         for n in range(1 - h, args.nmax + 1):
@@ -165,10 +156,7 @@ def _suite_points(args, lines):
                     rep["symmetric"] and rep["matches_signed_euler"], detail)
 
     top = args.nmax + 2 * args.hmax - 1
-    combined = {}
-    for j in range(0, top + 1):
-        combined.update(kkv.point_series_pairs(j, args.nmax, args.hmax).entries)
-    c_table = kkv.InvariantTable("C_point", combined)
+    c_table = kkv.point_series_pairs_upto(top, args.nmax, args.hmax)
     round_bad = None
     for h in range(0, args.hmax + 1):
         for n in range(max(1 - h, 0), args.nmax + 1, 3):
@@ -348,11 +336,6 @@ def main(argv=None):
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    try:
-        _check_threads_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return _run(args)
     except NotQuasimodular as exc:

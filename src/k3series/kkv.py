@@ -6,7 +6,8 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * the integer BPS table r_{g,h} (z-basis coefficients of 1/Delta(y,q)),
   * the rational Hodge integral table R_{g,h} (a bivariate exp formula),
   * Euler characteristics of stable-pairs moduli and their point-constrained
-    refinements C^k_{n,h},
+    refinements C^k_{n,h} (point_series_pairs_upto builds k = 0..K at once,
+    one point-factor multiplication per k),
   * the variable change y = -exp(iu) connecting the two sides, kept exact
     through the symmetric substitution w = y + 1/y -> s^2 - 2 with
     s = 2 sin(u/2).
@@ -34,7 +35,7 @@ from .series import (
     trig_substitute,
 )
 from . import modforms
-from .modforms import bernoulli, discriminant_q, discriminant_yq, eisenstein
+from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq, eisenstein
 
 
 def format_rational(x):
@@ -161,9 +162,11 @@ def bps_r_table(g_max, h_max):
     return InvariantTable("r", entries)
 
 
-def _bernoulli_abs_factor(g):
-    """|B_2g| / (g * (2g)!)."""
-    return abs(bernoulli(2 * g)) / (g * factorial(2 * g))
+def _bernoulli_eisenstein(u_order, q_order):
+    """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order."""
+    coeffs = [abs(bernoulli(j)) / (j // 2 * factorial(j)) * eisenstein(j, q_order)
+              if j % 2 == 0 else Fraction(0) for j in range(2, u_order + 1)]
+    return Series("u", 2, coeffs, u_order)
 
 
 @lru_cache(maxsize=None)
@@ -175,15 +178,8 @@ def hodge_r_series(u_order, q_order):
     """
     bu = u_order + 2
     bq = q_order + 1
-    inv_d = series_inv(discriminant_q(bq + 2))
-    coeffs = []
-    for j in range(2, bu + 1):
-        if j % 2 == 0:
-            coeffs.append(_bernoulli_abs_factor(j // 2) * eisenstein(j, bq + 1))
-        else:
-            coeffs.append(Fraction(0))
-    arg = Series("u", 2, coeffs, bu)
-    expo = series_exp(arg)
+    inv_d = inv_discriminant_q(bq)
+    expo = series_exp(_bernoulli_eisenstein(bu, bq + 1))
     pre = Series("u", -2, [inv_d] + [Fraction(0)] * (bu + 2), bu)
     out = pre * expo
     if out.order < u_order:
@@ -243,7 +239,7 @@ def bps_transform_check(g_max, h_max):
     r_tab = bps_r_table(g_max, h_max)
     big_tab = hodge_r_table(g_max, h_max)
     s2 = sin_half_square(budget)
-    powers = {-1: series_inv(s2), 0: Series.one("u", budget)}
+    powers = {-1: _inv_s2(u_order), 0: Series.one("u", budget)}
     for g in range(2, g_max + 1):
         powers[g - 1] = powers[g - 2] * s2
     mismatches = []
@@ -338,40 +334,42 @@ def pairs_signed_Z(h, n_window):
 @lru_cache(maxsize=None)
 def pairs_point_factor(q_order):
     """sum_m q^m sum_{d|m} (m/d) (y^d - 2 + y^-d), exact in YLaurent."""
-    coeffs = []
-    for m in range(1, q_order + 1):
-        term = YLaurent()
-        for d in range(1, m + 1):
-            if m % d == 0:
-                w = Fraction(m, d)
-                term = term + YLaurent({d: w, -d: w, 0: -2 * w})
-        coeffs.append(term)
-    return Series("q", 1, coeffs, q_order)
+    terms = [{} for _ in range(q_order + 1)]
+    for d in range(1, q_order + 1):
+        for m in range(d, q_order + 1, d):
+            w = m // d
+            t = terms[m]
+            t[d] = t[-d] = w
+            t[0] = t.get(0, 0) - 2 * w
+    return Series("q", 1, [YLaurent(t) for t in terms[1:]], q_order)
 
 
 @lru_cache(maxsize=None)
 def gw_point_factor(u_order, q_order):
-    """sum_m q^m sum_{d|m} (m/d) (2 sin(du/2))^2 as a nested (u, q) series."""
-    sig = {}
-    for m in range(1, q_order + 1):
-        for d in range(1, m + 1):
-            if m % d == 0:
-                sig.setdefault(m, []).append(d)
+    """sum_m q^m sum_{d|m} (m/d) (2 sin(du/2))^2 as a nested (u, q) series.
+
+    Since sum_{d|m} (m/d) d^{2g} = m sigma_{2g-1}(m), the coefficient of
+    u^{2g} q^m is (-1)^{g+1} 2 m sigma_{2g-1}(m) / (2g)!.
+    """
     coeffs = []
     for j in range(2, u_order + 1):
         if j % 2:
             coeffs.append(Fraction(0))
             continue
         g = j // 2
-        inner = []
-        for m in range(1, q_order + 1):
-            val = Fraction(0)
-            for d in sig[m]:
-                val += Fraction(m, d) * Fraction((-1) ** (g + 1) * 2 * d ** (2 * g),
-                                                 factorial(2 * g))
-            inner.append(val)
+        sig = _sigma_table(2 * g - 1, q_order)
+        inner = [Fraction(_sign(g + 1) * 2 * m * sig[m], factorial(j))
+                 for m in range(1, q_order + 1)]
         coeffs.append(Series("q", 1, inner, q_order))
     return Series("u", 2, coeffs, u_order)
+
+
+def _gw_point_bivariate(k, u_order, q_order):
+    """hodge_r_series * gw_point_factor^k, with margin past (u_order, q_order)."""
+    biv = hodge_r_series(u_order + 2, q_order + 2)
+    if k:
+        biv = biv * gw_point_factor(u_order + 4, q_order + 3) ** k
+    return biv
 
 
 def point_series_gw(k, g_max, h_max):
@@ -381,12 +379,7 @@ def point_series_gw(k, g_max, h_max):
     and the table of its coefficients at u^{2g-2} q^{h-1}; at k = 0 the
     table coincides with hodge_r_table.
     """
-    u_order = 2 * g_max - 2
-    q_order = max(h_max - 1, 0)
-    biv = hodge_r_series(u_order + 2, q_order + 2)
-    if k:
-        pf = gw_point_factor(u_order + 4, q_order + 3)
-        biv = biv * pf ** k
+    biv = _gw_point_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0))
     entries = {}
     for g in range(0, g_max + 1):
         for h in range(0, h_max + 1):
@@ -400,11 +393,14 @@ def pairs_point_numerators(k, h_max):
     Row h times the ascending expansion of 1/(y - 2 + 1/y) generates
     (-1)^n C^k_{n,h}.
     """
-    inv = inv_discriminant_yq(h_max + 1)
-    prod = inv
+    prod = inv_discriminant_yq(h_max + 1)
     if k:
-        pf = pairs_point_factor(h_max + 2)
-        prod = inv * pf ** k
+        prod = prod * pairs_point_factor(h_max + 2) ** k
+    return _numerator_rows(prod, k, h_max)
+
+
+def _numerator_rows(prod, k, h_max):
+    """Rows [q^{h-1}] of (-1)^{k+1} prod for h <= h_max, asserted symmetric."""
     sign = Fraction((-1) ** (k + 1))
     rows = {}
     for h in range(0, h_max + 1):
@@ -415,19 +411,39 @@ def pairs_point_numerators(k, h_max):
     return rows
 
 
-def point_series_pairs(k, n_max, h_max):
-    """Stable-pairs side with k point insertions: the table C^k_{n,h}."""
-    rows = pairs_point_numerators(k, h_max)
+def _c_point_entries(rows, k, n_max):
+    """Entries (k, n, h) -> C^k_{n,h} read off the numerator rows."""
     entries = {}
-    for h in range(0, h_max + 1):
-        row = rows[h]
+    for h, row in rows.items():
         for n in range(1 - h - 3, 1 - h):
             if _ascending_extract(row, n):
                 raise AssertionError("C-value should vanish below n = 1 - h")
         for n in range(1 - h, n_max + 1):
             v = _ascending_extract(row, n)
             entries[(k, n, h)] = Fraction(_sign(n)) * v
+    return entries
+
+
+def point_series_pairs(k, n_max, h_max):
+    """Stable-pairs side with k point insertions: the table C^k_{n,h}."""
+    entries = _c_point_entries(pairs_point_numerators(k, h_max), k, n_max)
     return InvariantTable("C_point", entries, meta={"points": k})
+
+
+def point_series_pairs_upto(k_max, n_max, h_max):
+    """The tables C^k_{n,h} for k = 0..k_max, merged into one table.
+
+    The product for k is the product for k - 1 times the point factor, so
+    the whole range costs one multiplication per k.
+    """
+    prod = inv_discriminant_yq(h_max + 1)
+    pf = pairs_point_factor(h_max + 2)
+    entries = {}
+    for k in range(0, k_max + 1):
+        if k:
+            prod = prod * pf
+        entries.update(_c_point_entries(_numerator_rows(prod, k, h_max), k, n_max))
+    return InvariantTable("C_point", entries)
 
 
 def euler_pk(c_table, k, n, h):
@@ -556,13 +572,7 @@ def log_identity_check(u_order, q_order):
     shifted = [Fraction(1)] + [target.coeff(j) for j in range(1, target.order + 1)]
     lhs = series_log(Series("u", 0, shifted, target.order))
 
-    coeffs = []
-    for j in range(2, lhs.order + 1):
-        if j % 2 == 0:
-            coeffs.append(_bernoulli_abs_factor(j // 2) * eisenstein(j, bq))
-        else:
-            coeffs.append(Fraction(0))
-    rhs = Series("u", 2, coeffs, lhs.order)
+    rhs = _bernoulli_eisenstein(lhs.order, bq)
     if min(lhs.order, rhs.order) < u_order:
         raise AssertionError("window bookkeeping error in log_identity_check")
     biv_ok = True
@@ -596,13 +606,10 @@ def quasimodularity_audit(k_max, g_max):
     w_max = 2 * g_max + 2 * k_max
     dim = len(modforms.weight_basis(w_max))
     q_order = dim + 8
+    delta = discriminant_q(q_order + 2)
     results = []
     for k in range(0, k_max + 1):
-        u_order = 2 * g_max - 2
-        biv = hodge_r_series(u_order + 2, q_order + 3)
-        if k:
-            biv = biv * gw_point_factor(u_order + 4, q_order + 3) ** k
-        delta = discriminant_q(q_order + 2)
+        biv = _gw_point_bivariate(k, 2 * g_max - 2, q_order + 1)
         for g in range(0, g_max + 1):
             row = biv.coeff(2 * g - 2)
             if not isinstance(row, Series):

@@ -5,7 +5,9 @@ The descendent series T_0 = q d/dq C_2 and T_1 = q d/dq ((2/3)C_2^2 -
 over Delta give the n-point stationary series.  Pushing the boundary
 expressions of low-genus Hodge classes through these series yields closed
 forms for R_{1,h}, R_{2,h}, R_{3,h} which this module re-derives and checks
-against the direct tables, identity by identity.
+against the direct tables, identity by identity.  Each ring element is
+written once, in _forms(); _IDENTITIES and _BOUNDARY say how the
+identities and closed forms are checked against them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,64 @@ from .modforms import QModElement, c_form, qmod_derive, qmod_expand
 from . import kkv
 
 
-def _c_elem(weight):
-    return c_form(weight, 0)[1]
+def _forms():
+    """Every ring element behind the low-genus identities, by name.
+
+    R1..R3 are Delta times the Hodge rows sum_h R_{g,h} q^{h-1}; a key that
+    names a strata identity holds Delta times its right-hand side.
+    """
+    c2, c4, c6 = (c_form(weight, 0)[1] for weight in (2, 4, 6))
+    return {
+        "one": QModElement.unit(),
+        "C2": c2,
+        "C4": c4,
+        "C6": c6,
+        "T0": Fraction(-2) * c2 * c2 + Fraction(10) * c4,
+        "T1_primitive": Fraction(2, 3) * c2 * c2 - Fraction(1, 3) * c4,
+        "T1": Fraction(-8, 3) * c2 ** 3 + Fraction(16) * c2 * c4 - Fraction(7) * c6,
+        "dC4": Fraction(-8) * c2 * c4 + Fraction(21) * c6,
+        "dC6": Fraction(-12) * c2 * c6 + Fraction(160, 7) * c4 * c4,
+        "R1": Fraction(-2) * c2,
+        "R2": Fraction(2) * c2 * c2 + Fraction(2) * c4,
+        "R3": -(Fraction(4, 3) * c2 ** 3 + Fraction(4) * c2 * c4 + Fraction(2) * c6),
+        "qd_inv_delta": Fraction(24) * c2,
+        "genus2_strata_qd2": Fraction(11, 5) * c2 * c2 + c4,
+        "genus2_strata_T0": Fraction(-1, 5) * c2 * c2 + c4,
+        "genus3_strata_qd3": (Fraction(1760) * c2 ** 3 + Fraction(2400) * c2 * c4
+                              + Fraction(840) * c6),
+        "genus3_strata_qd_T0": (Fraction(-480) * c2 ** 3 + Fraction(1440) * c2 * c4
+                                + Fraction(2520) * c6),
+        "genus3_strata_T1": (Fraction(-32) * c2 ** 3 + Fraction(192) * c2 * c4
+                             - Fraction(84) * c6),
+    }
+
+
+# The eleven identities, in report order.  ("rule", f, df) checks q d/dq f = df
+# as q-series, ("ring", f, df) checks it inside the ring, and
+# ("strata", scale, n, f) checks scale (q d/dq)^n (f/Delta) = name/Delta.
+_IDENTITIES = {
+    "qd_C2": ("rule", "C2", "T0"),
+    "qd_C4": ("rule", "C4", "dC4"),
+    "qd_C6": ("rule", "C6", "dC6"),
+    "qd_inv_delta": ("delta",),
+    "T0_presentation": ("ring", "C2", "T0"),
+    "T1_presentation": ("ring", "T1_primitive", "T1"),
+    "genus2_strata_qd2": ("strata", Fraction(1, 240), 2, "one"),
+    "genus2_strata_T0": ("strata", Fraction(1, 10), 0, "T0"),
+    "genus3_strata_qd3": ("strata", Fraction(1, 6), 3, "one"),
+    "genus3_strata_qd_T0": ("strata", Fraction(12), 1, "T0"),
+    "genus3_strata_T1": ("strata", Fraction(12), 0, "T1"),
+}
+
+# genus -> (closed form, [(strata identity, weight)]); the weighted strata
+# forms must sum to the closed form
+_BOUNDARY = {
+    1: ("R1", [("qd_inv_delta", Fraction(-1, 12))]),
+    2: ("R2", [("genus2_strata_qd2", Fraction(1)), ("genus2_strata_T0", Fraction(1))]),
+    3: ("R3", [("genus3_strata_qd3", Fraction(-1, 1008)),
+               ("genus3_strata_qd_T0", Fraction(-1, 1680)),
+               ("genus3_strata_T1", Fraction(-1, 252))]),
+}
 
 
 def t_form(k):
@@ -30,18 +88,13 @@ def t_form(k):
 
     Both presentations are verified against each other before returning.
     """
-    c2, c4, c6 = _c_elem(2), _c_elem(4), _c_elem(6)
-    if k == 0:
-        poly = Fraction(-2) * c2 * c2 + Fraction(10) * c4
-        if qmod_derive(c2) != poly:
-            raise AssertionError("T_0 presentations disagree")
-        return poly
-    if k == 1:
-        poly = Fraction(-8, 3) * c2 ** 3 + Fraction(16) * c2 * c4 + Fraction(-7) * c6
-        if qmod_derive(Fraction(2, 3) * c2 * c2 - Fraction(1, 3) * c4) != poly:
-            raise AssertionError("T_1 presentations disagree")
-        return poly
-    raise ValueError("only T_0 and T_1 are available")
+    if k not in (0, 1):
+        raise ValueError("only T_0 and T_1 are available")
+    forms = _forms()
+    _, src, poly = _IDENTITIES[f"T{k}_presentation"]
+    if qmod_derive(forms[src]) != forms[poly]:
+        raise AssertionError(f"T_{k} presentations disagree")
+    return forms[poly]
 
 
 def stationary_series(ks, q_order):
@@ -57,66 +110,42 @@ def _over_delta(elem, q_order):
     return (qmod_expand(elem, q_order + 2) * kkv.inv_discriminant_q(q_order + 1)).truncate(q_order)
 
 
+def _identity(name, q_order, forms):
+    """(name, ok, first mismatching q-exponent or None) for one identity."""
+    kind, *spec = _IDENTITIES[name]
+    ring_ok = True
+    if kind == "rule":
+        left = q_derive(qmod_expand(forms[spec[0]], q_order))
+        right = qmod_expand(forms[spec[1]], q_order)
+    elif kind == "ring":
+        # ring-level equality, expanded only so a failure can be located
+        derived = qmod_derive(forms[spec[0]])
+        left, right = qmod_expand(derived, q_order), qmod_expand(forms[spec[1]], q_order)
+        ring_ok = derived == forms[spec[1]]
+    elif kind == "delta":
+        inv_d = kkv.inv_discriminant_q(q_order + 1)
+        left = q_derive(inv_d)
+        right = qmod_expand(forms[name], q_order + 2) * inv_d
+        ring_ok = min(left.order, right.order) >= q_order
+    else:
+        scale, n, form = spec
+        left = _over_delta(forms[form], q_order)
+        for _ in range(n):
+            left = q_derive(left)
+        left = scale * left
+        right = _over_delta(forms[name], q_order)
+    bad = first_mismatch(left, right)
+    return name, bad is None and ring_ok, bad
+
+
 def identity_details(q_order=30):
     """The eleven identities with mismatch positions: [(name, ok, exponent)].
 
     The exponent entry is None when the identity holds; otherwise it is the
     first q-exponent where the two sides disagree, for error reporting.
     """
-    c2, c4, c6 = _c_elem(2), _c_elem(4), _c_elem(6)
-    c2s = c_form(2, q_order + 2)[0]
-    inv_d = kkv.inv_discriminant_q(q_order + 1)
-    t0 = Fraction(-2) * c2 * c2 + Fraction(10) * c4
-    t1 = Fraction(-8, 3) * c2 ** 3 + Fraction(16) * c2 * c4 - Fraction(7) * c6
-
-    pairs = []
-
-    rules = [
-        ("qd_C2", c2, Fraction(-2) * c2 * c2 + Fraction(10) * c4),
-        ("qd_C4", c4, Fraction(-8) * c2 * c4 + Fraction(21) * c6),
-        ("qd_C6", c6, Fraction(-12) * c2 * c6 + Fraction(160, 7) * c4 * c4),
-    ]
-    for name, gen, rhs in rules:
-        pairs.append((name, q_derive(qmod_expand(gen, q_order)),
-                      qmod_expand(rhs, q_order), True))
-
-    lhs = q_derive(inv_d)
-    rhs = Fraction(24) * (c2s * inv_d)
-    window_ok = min(lhs.order, rhs.order) >= q_order
-    pairs.append(("qd_inv_delta", lhs, rhs, window_ok))
-
-    # ring-level equalities, expanded only so a failure can be located
-    pairs.append(("T0_presentation", qmod_expand(qmod_derive(c2), q_order),
-                  qmod_expand(t0, q_order), qmod_derive(c2) == t0))
-    t1_src = qmod_derive(Fraction(2, 3) * c2 * c2 - Fraction(1, 3) * c4)
-    pairs.append(("T1_presentation", qmod_expand(t1_src, q_order),
-                  qmod_expand(t1, q_order), t1_src == t1))
-
-    qd2 = q_derive(q_derive(inv_d))
-    g2a = Fraction(11, 5) * c2 * c2 + c4
-    pairs.append(("genus2_strata_qd2", Fraction(1, 240) * qd2,
-                  _over_delta(g2a, q_order), True))
-    g2b = Fraction(-1, 5) * c2 * c2 + c4
-    pairs.append(("genus2_strata_T0", Fraction(1, 10) * _over_delta(t0, q_order),
-                  _over_delta(g2b, q_order), True))
-
-    qd3 = q_derive(q_derive(q_derive(inv_d)))
-    g3a = Fraction(1760) * c2 ** 3 + Fraction(2400) * c2 * c4 + Fraction(840) * c6
-    pairs.append(("genus3_strata_qd3", Fraction(1, 6) * qd3,
-                  _over_delta(g3a, q_order), True))
-    g3b = Fraction(-480) * c2 ** 3 + Fraction(1440) * c2 * c4 + Fraction(2520) * c6
-    pairs.append(("genus3_strata_qd_T0",
-                  Fraction(12) * q_derive(_over_delta(t0, q_order)),
-                  _over_delta(g3b, q_order), True))
-    g3c = Fraction(-32) * c2 ** 3 + Fraction(192) * c2 * c4 - Fraction(84) * c6
-    pairs.append(("genus3_strata_T1", Fraction(12) * _over_delta(t1, q_order),
-                  _over_delta(g3c, q_order), True))
-
-    out = []
-    for name, left, right, extra in pairs:
-        bad = first_mismatch(left, right)
-        out.append((name, bad is None and extra, bad))
-    return out
+    forms = _forms()
+    return [_identity(name, q_order, forms) for name in _IDENTITIES]
 
 
 def identity_checks(q_order=30):
@@ -142,37 +171,21 @@ class BoundaryReport:
 def boundary_R(genus, h_max, q_order=30):
     """Assemble the closed form for R_{genus,h} and check it two ways.
 
-    The strata identities are verified as q-series to q_order, the weighted
-    combination is assembled exactly, and the resulting row generating
-    function expand(closed)/Delta is compared against hodge_r_table entries
-    for h <= h_max.
+    The genus's own strata identities are verified as q-series to q_order,
+    their weighted right-hand sides are checked to sum to the closed form
+    exactly, and the resulting row generating function expand(closed)/Delta
+    is compared against hodge_r_table entries for h <= h_max.
     """
-    if genus not in (1, 2, 3):
+    if genus not in _BOUNDARY:
         raise ValueError("closed forms cover genus 1, 2, 3")
-    c2, c4, c6 = _c_elem(2), _c_elem(4), _c_elem(6)
-    names = dict(identity_checks(max(q_order, h_max + 2)))
-    if genus == 1:
-        closed = Fraction(-2) * c2
-        strata = [("qd_inv_delta", names["qd_inv_delta"])]
-    elif genus == 2:
-        closed = Fraction(2) * c2 * c2 + Fraction(2) * c4
-        strata = [("genus2_strata_qd2", names["genus2_strata_qd2"]),
-                  ("genus2_strata_T0", names["genus2_strata_T0"])]
-        parts = (Fraction(11, 5) * c2 * c2 + c4) + (Fraction(-1, 5) * c2 * c2 + c4)
-        if parts != closed:
-            raise AssertionError("genus-2 strata do not sum to the closed form")
-    else:
-        closed = -(Fraction(4, 3) * c2 ** 3 + Fraction(4) * c2 * c4 + Fraction(2) * c6)
-        strata = [("genus3_strata_qd3", names["genus3_strata_qd3"]),
-                  ("genus3_strata_qd_T0", names["genus3_strata_qd_T0"]),
-                  ("genus3_strata_T1", names["genus3_strata_T1"])]
-        g3a = Fraction(1760) * c2 ** 3 + Fraction(2400) * c2 * c4 + Fraction(840) * c6
-        g3b = Fraction(-480) * c2 ** 3 + Fraction(1440) * c2 * c4 + Fraction(2520) * c6
-        g3c = Fraction(-32) * c2 ** 3 + Fraction(192) * c2 * c4 - Fraction(84) * c6
-        combo = Fraction(-1, 504) * (Fraction(1, 2) * g3a + Fraction(3, 10) * g3b
-                                     + Fraction(2) * g3c)
-        if combo != closed:
-            raise AssertionError("genus-3 strata do not combine to the closed form")
+    forms = _forms()
+    closed_name, weights = _BOUNDARY[genus]
+    closed = forms[closed_name]
+    q_check = max(q_order, h_max + 2)
+    strata = [_identity(name, q_check, forms)[:2] for name, _ in weights]
+    combo = sum((weight * forms[name] for name, weight in weights), QModElement())
+    if combo != closed:
+        raise AssertionError(f"genus-{genus} strata do not combine to the closed form")
 
     row_series = _over_delta(closed, max(h_max + 1, 1))
     table = kkv.hodge_r_table(genus, h_max)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Series, YLaurent, weighted_product
+from .series import Series, YLaurent, parse_rational, weighted_product
 
 
 class NotQuasimodular(Exception):
@@ -49,13 +49,6 @@ def _sigma_table(power, order):
     return tuple(out)
 
 
-def sigma(power, n):
-    """Sum of power-th powers of the divisors of n."""
-    if n < 1:
-        raise ValueError("divisor sums need n >= 1")
-    return sum(d ** power for d in range(1, n + 1) if n % d == 0)
-
-
 @lru_cache(maxsize=None)
 def _eisenstein_coeffs(weight, order):
     if weight < 2 or weight % 2:
@@ -86,20 +79,12 @@ def discriminant_yq(order):
     if order < 1:
         raise ValueError("order must be at least 1")
     inner = order - 1
-    acc = Series("q", 0, [YLaurent({0: 1})] + [YLaurent()] * inner, inner)
+    plain = weighted_product({}, inner, default=20)
+    acc = Series("q", 0, [YLaurent({0: c}) for c in plain.coeffs], inner)
     for n in range(1, inner + 1):
-        acc = acc * _plain_factor_pow(n, 20, inner)
         acc = acc * _y_factor_squared(n, 1, inner)
         acc = acc * _y_factor_squared(n, -1, inner)
     return Series("q", 1, acc.coeffs, order)
-
-
-def _plain_factor_pow(n, e, order):
-    from math import comb
-    coeffs = [YLaurent()] * (order + 1)
-    for k in range(0, min(e, order // n) + 1):
-        coeffs[n * k] = YLaurent({0: Fraction((-1) ** k * comb(e, k))})
-    return Series("q", 0, coeffs, order)
 
 
 def _y_factor_squared(n, yk, order):
@@ -393,10 +378,8 @@ def qmod_from_text(text):
             if head != name or not _:
                 raise ValueError(f"bad monomial: {key_part!r}")
             exps.append(int(e))
-        num, slash, den = val.strip().partition("/")
-        v = Fraction(int(num), int(den)) if slash else Fraction(int(num))
         key = tuple(exps)
         if key in terms:
             raise ValueError(f"duplicate monomial {key}")
-        terms[key] = v
+        terms[key] = parse_rational(val)
     return QModElement(terms)

@@ -533,7 +533,7 @@ def series_to_text(a):
 
 
 def series_from_text(text):
-    """Parse the exchange format produced by series_to_text."""
+    """Parse the exchange format of series_to_text; a gap in the window raises."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series text")
@@ -550,15 +550,22 @@ def series_from_text(text):
         if not _:
             raise ValueError(f"bad series line: {ln!r}")
         k = int(exp_part.strip())
-        num, slash, den = val.strip().partition("/")
-        frac = Fraction(int(num), int(den)) if slash else Fraction(int(num))
         if k in entries:
             raise ValueError(f"duplicate exponent {k}")
         if k > order:
             raise ValueError(f"exponent {k} past declared order {order}")
-        entries[k] = frac
+        entries[k] = parse_rational(val)
     if not entries:
         return Series(var, order + 1, [], order)
     lo = min(entries)
-    coeffs = [entries.get(k, Fraction(0)) for k in range(lo, order + 1)]
-    return Series(var, lo, coeffs, order)
+    if len(entries) != order - lo + 1:
+        raise ValueError(f"exponents {lo}..{order} are not all present")
+    return Series(var, lo, [entries[k] for k in range(lo, order + 1)], order)
+
+
+def parse_rational(text):
+    """Parse 'p' or 'p/q' exactly; a zero denominator is a ValueError."""
+    num, slash, den = text.strip().partition("/")
+    if slash and int(den) == 0:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))

@@ -204,14 +204,35 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
-def test_kkv_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("KKV_THREADS", "zebra")
-    assert main(["table", "--kind", "r", "--gmax", "0", "--hmax", "0"]) == 2
-    monkeypatch.setenv("KKV_THREADS", "0")
-    assert main(["table", "--kind", "r", "--gmax", "0", "--hmax", "0"]) == 2
-    monkeypatch.setenv("KKV_THREADS", "4")
-    assert main(["table", "--kind", "r", "--gmax", "0", "--hmax", "0"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ["table", "--kind", "r", "--gmax", "-1"],
+    ["table", "--kind", "r", "--hmax", "-3"],
+    ["table", "--kind", "euler", "--nmax", "-1"],
+    ["table", "--kind", "C", "--k", "-1"],
+    ["verify", "--suite", "gwpt", "--kmax", "-1"],
+    ["verify", "--suite", "appendixB", "--qorder", "-1"],
+    ["verify", "--suite", "gwpt", "--uorder", "-2"],
+    ["verify", "--suite", "vertex", "--excess", "-1"],
+    ["vertex", "--mu", "2,1", "--excess", "-1"],
+    ["recognize", "E4_FILE", "--weight-max", "-4"],
+])
+def test_negative_size_exits_2(argv, capsys, tmp_path):
+    path = tmp_path / "e4.txt"
+    path.write_text(series_to_text(eisenstein(4, 20)))
+    assert main([str(path) if a == "E4_FILE" else a for a in argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "var=q order=3\n0: 1/0\n1: 0/1\n2: 0/1\n3: 0/1\n",
+    "var=q order=40\n0: 1/1\n1: 0/1\n2: 0/1\n3: 1/1\n",
+    "var=q order=20\n0: 1/1\n1: 0/1\n3: 1/1\n",
+])
+def test_recognize_malformed_series_exits_2(text, capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["recognize", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

@@ -157,6 +157,11 @@ def test_qmod_text_round_trip():
     assert back == elem
 
 
+def test_qmod_text_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        qmod_from_text("E2^1*E4^0*E6^0: 1/0\n")
+
+
 def test_ramanujan_derivation_rules():
     e2 = QModElement.generator(2)
     e4 = QModElement.generator(4)

@@ -302,6 +302,12 @@ def test_text_rejects_garbage():
         series_from_text("var=x order=3\n0: 1/1\n")
     with pytest.raises(ValueError):
         series_from_text("var=q order=0\n0: one\n")
+    with pytest.raises(ValueError):
+        series_from_text("var=q order=1\n0: 1/0\n1: 0/1\n")
+    with pytest.raises(ValueError):
+        series_from_text("var=q order=3\n0: 1/1\n1: 1/1\n")
+    with pytest.raises(ValueError):
+        series_from_text("var=q order=3\n-1: 1/1\n0: 1/1\n2: 1/1\n3: 1/1\n")
 
 
 def test_binomial_weighted_product_negative_exponent():
