@@ -33,6 +33,7 @@ from .series import (
     sin_half_square,
     symmetric_to_z,
     trig_substitute,
+    weighted_product,
 )
 from . import modforms
 from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq, eisenstein
@@ -124,14 +125,22 @@ class CorrespondenceReport:
 
 @lru_cache(maxsize=None)
 def inv_discriminant_q(order):
-    """1/Delta(q), certified from q^-1 through q^order."""
-    return series_inv(discriminant_q(order + 2))
+    """1/Delta(q) = q^-1 prod (1-q^n)^-24, certified from q^-1 through q^order.
+
+    The product is weighted_product's integer log-derivative recurrence,
+    O(order^2); no series inversion.
+    """
+    return Series("q", -1, weighted_product({}, order + 1, default=-24).coeffs, order)
 
 
 @lru_cache(maxsize=None)
 def inv_discriminant_yq(order):
-    """1/Delta(y, q) with exact symmetric YLaurent coefficients."""
-    return series_inv(discriminant_yq(order + 2))
+    """1/Delta(y, q) with exact symmetric YLaurent coefficients, q^-1..q^order.
+
+    The product is _yq_eta_product's log-derivative recurrence with the
+    exponents negated, O(order^2) YLaurent products; no series inversion.
+    """
+    return Series("q", -1, modforms._yq_eta_product(order + 1, -1), order)
 
 
 def _as_ylaurent(c):
@@ -166,7 +175,8 @@ def _bernoulli_eisenstein(u_order, q_order):
     """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order."""
     coeffs = [abs(bernoulli(j)) / (j // 2 * factorial(j)) * eisenstein(j, q_order)
               if j % 2 == 0 else Fraction(0) for j in range(2, u_order + 1)]
-    return Series("u", 2, coeffs, u_order)
+    # below u_order 2 the window is empty: [u_order + 1, u_order]
+    return Series("u", min(2, u_order + 1), coeffs, u_order)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Series, YLaurent, parse_rational, weighted_product
+from .series import Series, YLaurent, _exp_recurrence, parse_rational, weighted_product
 
 
 class NotQuasimodular(Exception):
@@ -74,28 +74,32 @@ def discriminant_q(order):
 def discriminant_yq(order):
     """The refinement Delta(y,q) = q prod (1-q^n)^20 (1-yq^n)^2 (1-1/y q^n)^2.
 
-    Coefficients are exact symmetric YLaurent polynomials.
+    Coefficients are exact symmetric YLaurent polynomials, computed by the
+    log-derivative recurrence of _yq_eta_product in O(order^2) YLaurent
+    products.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    inner = order - 1
-    plain = weighted_product({}, inner, default=20)
-    acc = Series("q", 0, [YLaurent({0: c}) for c in plain.coeffs], inner)
-    for n in range(1, inner + 1):
-        acc = acc * _y_factor_squared(n, 1, inner)
-        acc = acc * _y_factor_squared(n, -1, inner)
-    return Series("q", 1, acc.coeffs, order)
+    return Series("q", 1, _yq_eta_product(order - 1, 1), order)
 
 
-def _y_factor_squared(n, yk, order):
-    """(1 - y^yk q^n)^2 as a q-series with YLaurent coefficients."""
-    coeffs = [YLaurent()] * (order + 1)
-    coeffs[0] = YLaurent({0: 1})
-    if n <= order:
-        coeffs[n] = YLaurent({yk: -2})
-    if 2 * n <= order:
-        coeffs[2 * n] = YLaurent({2 * yk: 1})
-    return Series("q", 0, coeffs, order)
+def _yq_eta_product(n, sign):
+    """q^0..q^n of prod_m ((1-q^m)^20 (1-yq^m)^2 (1-1/y q^m)^2)^sign.
+
+    q d/dq log of the product is -sign * sum_m c_m q^m with
+    c_m = sum_{d|m} d (20 + 2y^{m/d} + 2y^{-m/d}); c_m comes from a divisor
+    sieve and the coefficients from the recurrence m p_m = -sign sum c_j p_{m-j}.
+    """
+    if n < 0:
+        raise ValueError("window does not reach the constant term")
+    terms = [{0: 0} for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        w = -sign * d
+        for m in range(d, n + 1, d):
+            t = terms[m]
+            t[0] += 20 * w
+            t[m // d] = t[-(m // d)] = 2 * w
+    return _exp_recurrence([YLaurent(t) for t in terms], n, YLaurent({0: 1}))
 
 
 # the scaled generators C_2, C_4, C_6: series plus exact element

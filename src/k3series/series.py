@@ -363,22 +363,26 @@ def series_inv(a):
 
 
 def series_exp(a):
-    """exp of a series with min_exp >= 1; result certified to a.order."""
+    """exp of a series with min_exp >= 1; result certified to a.order.
+
+    With e = exp(a), var d/dvar e = e * var d/dvar a gives the recurrence
+    k e_k = sum_{j=1..k} j a_j e_{k-j}: O(order^2) coefficient products and
+    no Series product.  Coefficients may be scalars or nested series.
+    """
     if a.min_exp < 1:
         raise ValueError("series_exp needs positive valuation")
     order = a.order
-    acc = Series.one(a.var, order)
-    term = Series.one(a.var, order)
-    k = 1
-    while k * a.min_exp <= order:
-        term = term * a
-        acc = acc + Fraction(1, factorial(k)) * term
-        k += 1
-    return acc.truncate(order)
+    d = [None] + [j * a.coeff(j) for j in range(1, order + 1)]
+    return Series(a.var, 0, _exp_recurrence(d, order, Fraction(1)), order)
 
 
 def series_log(a):
-    """log of a series whose constant term is exactly the scalar 1."""
+    """log of a series whose constant term is exactly the scalar 1.
+
+    With l = log(a), var d/dvar a = a * var d/dvar l gives the recurrence
+    k l_k = k a_k - sum_{j=1..k-1} j l_j a_{k-j}: O(order^2) coefficient
+    products and no Series product.
+    """
     if a.min_exp > 0:
         raise ValueError("series_log needs constant term 1")
     lead = a.coeff(0)
@@ -388,16 +392,18 @@ def series_log(a):
     if eps.coeffs and eps.min_exp < 1:
         raise ValueError("series_log needs an exact scalar 1 constant term")
     order = a.order
-    acc = Series.zero(a.var, order)
     if not eps.coeffs:
-        return acc
-    term = Series.one(a.var, order)
-    k = 1
-    while k * eps.min_exp <= order:
-        term = term * eps
-        acc = acc + Fraction((-1) ** (k + 1), k) * term
-        k += 1
-    return acc.truncate(order)
+        return Series.zero(a.var, order)
+    e = [eps.coeff(k) for k in range(order + 1)]
+    # b[k] = k l_k, the coefficients of var d/dvar log(a)
+    b = [None]
+    for k in range(1, order + 1):
+        acc = k * e[k]
+        for j in range(1, k):
+            acc = acc - b[j] * e[k - j]
+        b.append(acc)
+    coeffs = [Fraction(0)] + [b[k] * Fraction(1, k) for k in range(1, order + 1)]
+    return Series(a.var, 0, coeffs, order)
 
 
 def q_derive(a):
@@ -424,26 +430,46 @@ def weighted_product(exponents, order, default=0, var="q"):
     """Product over n >= 1 of (1 - q^n)^e(n), expanded exactly to order.
 
     exponents maps n to an integer exponent; missing n fall back to default.
-    Negative exponents use the binomial series for (1 - x)^-m.
+    The log-derivative q d/dq log P = -sum_m c_m q^m has c_m = sum_{n|m} n e(n),
+    read off a divisor sieve; the coefficients then follow from the integer
+    recurrence m p_m = -sum_{j=1..m} c_j p_{m-j} in O(order^2) operations.
     """
-    acc = Series.one(var, order)
+    if order < 0:
+        raise ValueError("window does not reach the constant term")
+    d = [0] * (order + 1)
     for n in range(1, order + 1):
         e = exponents.get(n, default)
         if e:
-            acc = acc * _binomial_factor(n, e, order, var)
-    return acc
+            for m in range(n, order + 1, n):
+                d[m] -= n * e
+    return Series(var, 0, [Fraction(c) for c in _exp_recurrence(d, order, 1)], order)
 
 
-def _binomial_factor(n, e, order, var):
-    coeffs = [Fraction(0)] * (order + 1)
-    if e >= 0:
-        for k in range(0, min(e, order // n) + 1):
-            coeffs[n * k] = Fraction((-1) ** k * comb(e, k))
-    else:
-        m = -e
-        for k in range(0, order // n + 1):
-            coeffs[n * k] = Fraction(comb(m + k - 1, k))
-    return Series(var, 0, coeffs, order)
+def _exp_recurrence(d, n, one):
+    """p_0..p_n of the series p with p_0 = one and var d/dvar log p = sum d_j var^j.
+
+    Runs m p_m = sum_{j=1..m} d_j p_{m-j}, O(n^2) coefficient products; d[0]
+    is ignored and exact-zero d_j are skipped.  Over int the division by m
+    is exact (a remainder is an AssertionError); any other ring (Fraction,
+    YLaurent, nested Series) multiplies by Fraction(1, m).
+    """
+    support = [j for j in range(1, n + 1) if not _is_exact_zero(d[j])]
+    zero = one * 0  # in the ring of `one`, so a sum with no terms keeps its type
+    p = [one]
+    for m in range(1, n + 1):
+        acc = zero
+        for j in support:
+            if j > m:
+                break
+            acc = acc + d[j] * p[m - j]
+        if isinstance(acc, int):
+            acc, rem = divmod(acc, m)
+            if rem:
+                raise AssertionError("integer log-derivative recurrence is not exact")
+            p.append(acc)
+        else:
+            p.append(acc * Fraction(1, m))
+    return p
 
 
 def to_w_basis(p):

@@ -46,6 +46,17 @@ def test_table_R_csv(capsys):
     assert "2,1,1/10" in lines
 
 
+def test_genus_zero_size_is_valid(capsys):
+    # --gmax 0 leaves the Bernoulli x Eisenstein exponent an empty u-window
+    code, out = run_cli(capsys, "table", "--kind", "R", "--gmax", "0",
+                        "--hmax", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["g,h,value", "0,0,1", "0,1,24", "0,2,324", "0,3,3200"]
+    code, out = run_cli(capsys, "verify", "--suite", "kkv", "--gmax", "0", "--hmax", "0")
+    assert code == 0
+    assert "suite kkv: all checks passed" in out
+
+
 def test_table_euler_text(capsys):
     code, out = run_cli(capsys, "table", "--kind", "euler", "--nmax", "3",
                         "--hmax", "1", "--format", "text")

@@ -1,0 +1,367 @@
+"""Oracles and window-soundness tests for the log-derivative recurrence kernels.
+
+weighted_product, discriminant_q, discriminant_yq, both inverse
+discriminants, series_exp and series_log all run one recurrence.  The
+references below are the factor-by-factor products and power sums that the
+recurrence replaced, written out here so that no expected value is computed
+through it.  The window tests compute each kernel at a long and a short
+size, compare on the short window, and check that one step past it raises.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+
+from k3series.kkv import (
+    _bernoulli_eisenstein,
+    bps_r_table,
+    inv_discriminant_q,
+    inv_discriminant_yq,
+)
+from k3series.modforms import discriminant_q, discriminant_yq, eisenstein
+from k3series.series import (
+    PrecisionError,
+    Series,
+    YLaurent,
+    q_derive,
+    series_exp,
+    series_inv,
+    series_log,
+    weighted_product,
+)
+
+
+# -- reference implementations ------------------------------------------------
+
+def binomial_factor(n, e, order):
+    """(1 - q^n)^e by the binomial series; (1 - x)^-m by the negative one."""
+    coeffs = [Fraction(0)] * (order + 1)
+    if e >= 0:
+        for k in range(0, min(e, order // n) + 1):
+            coeffs[n * k] = Fraction((-1) ** k * comb(e, k))
+    else:
+        for k in range(0, order // n + 1):
+            coeffs[n * k] = Fraction(comb(-e + k - 1, k))
+    return Series("q", 0, coeffs, order)
+
+
+def factor_product(exponents, order, default=0):
+    acc = Series.one("q", order)
+    for n in range(1, order + 1):
+        e = exponents.get(n, default)
+        if e:
+            acc = acc * binomial_factor(n, e, order)
+    return acc
+
+
+def y_factor_squared(n, yk, order):
+    """(1 - y^yk q^n)^2 with YLaurent coefficients."""
+    coeffs = [YLaurent()] * (order + 1)
+    coeffs[0] = YLaurent({0: 1})
+    if n <= order:
+        coeffs[n] = YLaurent({yk: -2})
+    if 2 * n <= order:
+        coeffs[2 * n] = YLaurent({2 * yk: 1})
+    return Series("q", 0, coeffs, order)
+
+
+def factor_discriminant_yq(order):
+    inner = order - 1
+    plain = factor_product({}, inner, default=20)
+    acc = Series("q", 0, [YLaurent({0: c}) for c in plain.coeffs], inner)
+    for n in range(1, inner + 1):
+        acc = acc * y_factor_squared(n, 1, inner)
+        acc = acc * y_factor_squared(n, -1, inner)
+    return Series("q", 1, acc.coeffs, order)
+
+
+def power_sum_exp(a):
+    """sum_k a^k / k!, one Series product per power."""
+    acc = Series.one(a.var, a.order)
+    term = Series.one(a.var, a.order)
+    k = 1
+    while k * a.min_exp <= a.order:
+        term = term * a
+        acc = acc + Fraction(1, factorial(k)) * term
+        k += 1
+    return acc.truncate(a.order)
+
+
+def power_sum_log(a):
+    """sum_k (-1)^(k+1) eps^k / k with eps = a - 1."""
+    eps = a - 1
+    acc = Series.zero(a.var, a.order)
+    if not eps.coeffs:
+        return acc
+    term = Series.one(a.var, a.order)
+    k = 1
+    while k * eps.min_exp <= a.order:
+        term = term * eps
+        acc = acc + Fraction((-1) ** (k + 1), k) * term
+        k += 1
+    return acc.truncate(a.order)
+
+
+# -- helpers ------------------------------------------------------------------
+
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def random_q_series(rng, lo, hi, order=None):
+    """A q-series with valuation in [lo, 1] and order up to hi."""
+    mn = rng.randint(lo, 1)
+    if order is None:
+        order = rng.randint(max(mn - 1, 0), hi)
+    return Series("q", mn, [random_rational(rng) for _ in range(order - mn + 1)], order)
+
+
+def inner_shape(c):
+    if isinstance(c, Series):
+        return ("series", c.min_exp, c.order, tuple(c.coeffs))
+    return ("scalar", c)
+
+
+def agrees_on_window(short, long):
+    """long matches short on short's certified window (scalars are exact)."""
+    if not isinstance(short, Series):
+        return long == short
+    lo = min(short.min_exp, long.min_exp) if isinstance(long, Series) else short.min_exp
+    for k in range(lo, short.order + 1):
+        want = short.coeff(k)
+        got = long.coeff(k) if isinstance(long, Series) else (long if k == 0 else 0)
+        if got != want:
+            return False
+    return True
+
+
+def extend_inner(a, rng, extra=3):
+    """a with every inner q-series certified `extra` further (random values)."""
+    out = []
+    for c in a.coeffs:
+        if isinstance(c, Series):
+            more = [random_rational(rng) for _ in range(extra)]
+            c = Series("q", c.min_exp, c.coeffs + more, c.order + extra)
+        out.append(c)
+    return Series(a.var, a.min_exp, out, a.order)
+
+
+# -- reference oracles --------------------------------------------------------
+
+@pytest.mark.parametrize("default", [-24, -3, -1, 0, 1, 3, 24])
+def test_weighted_product_matches_factor_by_factor(default):
+    order = 30
+    exponents = {1: 2, 2: -3, 5: 1, 7: 0, 11: -24}
+    got = weighted_product(exponents, order, default=default)
+    want = factor_product(exponents, order, default=default)
+    assert got.window() == want.window() == (0, order)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_discriminants_match_factor_by_factor():
+    order = 30
+    delta = Series("q", 1, factor_product({}, order - 1, default=24).coeffs, order)
+    assert discriminant_q(order).window() == delta.window()
+    assert discriminant_q(order).coeffs == delta.coeffs
+    inv = series_inv(delta)
+    assert inv_discriminant_q(order - 2).window() == inv.window() == (-1, order - 2)
+    assert inv_discriminant_q(order - 2).coeffs == inv.coeffs
+
+
+def test_refined_discriminants_match_y_factor_product():
+    for order in range(1, 9):
+        want = factor_discriminant_yq(order)
+        got = discriminant_yq(order)
+        assert got.window() == want.window() == (1, order)
+        assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+        want_inv = series_inv(want)
+        got_inv = inv_discriminant_yq(order - 2)
+        assert got_inv.window() == want_inv.window() == (-1, order - 2)
+        assert [c.terms for c in got_inv.coeffs] == [c.terms for c in want_inv.coeffs]
+
+
+def test_exp_log_match_power_sums_on_scalars():
+    rng = random.Random(31)
+    for _ in range(25):
+        length = rng.randint(1, 12)
+        val = rng.randint(1, 3)
+        order = val + length - 1
+        a = Series("q", val, [random_rational(rng) for _ in range(length)], order)
+        for got, want in ((series_exp(a), power_sum_exp(a)),
+                          (series_log(1 + a), power_sum_log(1 + a))):
+            assert got.window() == want.window()
+            assert got.coeffs == want.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def nested_input(rng, u_order, q_order, val):
+    """A (u, q) series shaped like the Hodge exponent: one inner q-order, odd u-rows 0."""
+    coeffs = [random_q_series(rng, 0, q_order, q_order) if j % 2 == 0 else Fraction(0)
+              for j in range(val, u_order + 1)]
+    return Series("u", val, coeffs, u_order)
+
+
+def test_exp_log_match_power_sums_on_nested_series():
+    rng = random.Random(32)
+    cases = [_bernoulli_eisenstein(8, 6), _bernoulli_eisenstein(11, 3)]
+    cases += [nested_input(rng, rng.randint(2, 9), rng.randint(0, 6), rng.choice([1, 2]))
+              for _ in range(12)]
+    for a in cases:
+        for got, want in ((series_exp(a), power_sum_exp(a)),
+                          (series_log(1 + a), power_sum_log(1 + a))):
+            assert got.window() == want.window()
+            assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
+
+
+def test_nested_exp_log_windows_are_sound():
+    # Mixed inner windows: the recurrence may certify a longer inner window
+    # than the power sums did (they multiply exact scalar zeros into inner
+    # series, which caps the window), never a shorter one.  Certifying every
+    # inner series further must leave each claimed inner window unchanged.
+    rng = random.Random(33)
+    for _ in range(40):
+        val = rng.randint(1, 3)
+        order = rng.randint(val, 7)
+        coeffs = [random_q_series(rng, 0, 6) if rng.random() < 0.7
+                  else Fraction(rng.randint(-2, 2)) for _ in range(order - val + 1)]
+        a = Series("u", val, coeffs, order)
+        for kernel, ref, arg in ((series_exp, power_sum_exp, a),
+                                 (series_log, power_sum_log, 1 + a)):
+            got = kernel(arg)
+            want = ref(arg)
+            longer = kernel(extend_inner(arg, rng))
+            assert got.window() == want.window()
+            for k in range(got.min_exp, got.order + 1):
+                g, w = got.coeff(k), want.coeff(k)
+                assert agrees_on_window(w, g) and agrees_on_window(g, longer.coeff(k))
+                if isinstance(w, Series) and isinstance(g, Series):
+                    assert g.order >= w.order
+
+
+def test_kernels_run_without_series_products(monkeypatch):
+    import k3series.kkv
+    import k3series.series
+
+    products = []
+    plain_mul = Series.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, Series):
+            products.append(self.var)
+        return plain_mul(self, other)
+
+    def forbidden(*args):
+        raise AssertionError("kernel fell back to a series power or inversion")
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "__pow__", forbidden)
+    monkeypatch.setattr(k3series.series, "series_inv", forbidden)
+    monkeypatch.setattr(k3series.kkv, "series_inv", forbidden)
+    inv_discriminant_q.cache_clear()
+    inv_discriminant_yq.cache_clear()
+    a = Series("q", 1, [Fraction(1, n) for n in range(1, 21)], 20)
+    for run in (lambda: weighted_product({2: -3}, 40, default=24),
+                lambda: discriminant_q(40), lambda: inv_discriminant_q(40),
+                lambda: discriminant_yq(12), lambda: inv_discriminant_yq(12),
+                lambda: series_exp(a), lambda: series_log(1 + a)):
+        run()
+    assert products == []
+    # nested input: only the inner q-series coefficients are multiplied
+    nested = _bernoulli_eisenstein(8, 6)
+    series_exp(nested)
+    series_log(1 + nested)
+    assert products and set(products) == {"q"}
+
+
+# -- window soundness ---------------------------------------------------------
+
+def check_long_short(long, short, window):
+    assert short.window() == window
+    assert agrees_on_window(short, long)
+    with pytest.raises(PrecisionError):
+        short.coeff(window[1] + 1)
+
+
+def test_weighted_product_window():
+    rng = random.Random(41)
+    for _ in range(10):
+        exponents = {n: rng.randint(-5, 5) for n in rng.sample(range(1, 40), 6)}
+        default = rng.randint(-3, 3)
+        long = weighted_product(exponents, 40, default=default)
+        m = rng.randint(0, 39)
+        check_long_short(long, weighted_product(exponents, m, default=default), (0, m))
+    with pytest.raises(ValueError):
+        weighted_product({}, -1, default=1)
+
+
+def test_discriminant_windows():
+    rng = random.Random(42)
+    long_d, long_inv = discriminant_q(60), inv_discriminant_q(60)
+    for m in [1, 2] + rng.sample(range(3, 60), 4):
+        check_long_short(long_d, discriminant_q(m), (1, m))
+    for m in [-1, 0] + rng.sample(range(1, 60), 4):
+        check_long_short(long_inv, inv_discriminant_q(m), (-1, m))
+    with pytest.raises(ValueError):
+        discriminant_q(0)
+    with pytest.raises(ValueError):
+        inv_discriminant_q(-2)
+
+
+def test_refined_discriminant_windows():
+    rng = random.Random(43)
+    long_d, long_inv = discriminant_yq(14), inv_discriminant_yq(14)
+    for m in [1, 2] + rng.sample(range(3, 14), 3):
+        check_long_short(long_d, discriminant_yq(m), (1, m))
+    for m in [-1, 0] + rng.sample(range(1, 14), 3):
+        check_long_short(long_inv, inv_discriminant_yq(m), (-1, m))
+    with pytest.raises(ValueError):
+        discriminant_yq(0)
+    with pytest.raises(ValueError):
+        inv_discriminant_yq(-2)
+    # bps_r_table(g, 0) reaches inv_discriminant_yq(-1)
+    assert bps_r_table(2, 0).entries == {(0, 0): 1, (1, 0): 0, (2, 0): 0}
+
+
+def test_exp_log_windows():
+    rng = random.Random(44)
+    for _ in range(10):
+        val = rng.randint(1, 3)
+        order = rng.randint(val + 4, 20)
+        a = Series("q", val, [random_rational(rng) for _ in range(order - val + 1)], order)
+        m = rng.randint(val, order - 1)
+        short = a.truncate(m)
+        check_long_short(series_exp(a), series_exp(short), (0, m))
+        lg = series_log(1 + short)
+        check_long_short(series_log(1 + a), lg, (lg.min_exp, m))
+        assert lg.min_exp >= val
+
+
+# -- large-N oracles ----------------------------------------------------------
+
+def test_ramanujan_tau_hecke_relations():
+    delta = discriminant_q(200)
+    tau = [delta.coeff(n) for n in range(201)]
+    assert tau[1:6] == [1, -24, 252, -1472, 4830]
+    for p in (2, 3, 5, 7, 11, 13):
+        assert tau[p * p] == tau[p] ** 2 - p ** 11
+    for m, n in ((2, 3), (4, 9), (5, 7), (8, 25), (11, 13), (3, 64), (12, 13)):
+        assert tau[m * n] == tau[m] * tau[n]
+
+
+def test_e2_is_log_derivative_of_delta():
+    order = 120
+    delta = discriminant_q(order)
+    rhs = eisenstein(2, order) * delta
+    assert rhs.order == order
+    assert q_derive(delta) == rhs
+
+
+def test_inverse_discriminant_times_discriminant():
+    prod = inv_discriminant_q(200) * discriminant_q(202)
+    assert prod.window() == (0, 201)
+    assert prod == 1
