@@ -1,16 +1,18 @@
 """Eisenstein series, the discriminant, and the quasimodular ring Q[E2,E4,E6].
 
 Quasimodular elements are stored exactly as polynomials in the three
-generators; qmod_expand turns them into certified q-series and
-qmod_recognize solves the inverse problem by exact linear algebra over
-Fraction, so a recognized element is a proof of the identity on the
-supplied window.
+generators; qmod_expand turns them into certified q-series.  qmod_recognize
+solves the inverse problem: integer monomial columns built incrementally,
+fraction-free (Bareiss) elimination, and re-verification on the full window,
+so a recognized element is a proof of the identity on the supplied window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .series import Series, YLaurent, _exp_recurrence, parse_rational, weighted_product
 
@@ -236,25 +238,34 @@ class QModElement:
         return "QModElement(" + ", ".join(bits) + ")"
 
 
+def _exact_div(num, den):
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("integer division is not exact")
+    return q
+
+
 @lru_cache(maxsize=None)
 def _monomial_coeffs(a, b, c, order):
-    s = Series.one("q", order)
-    if a:
-        s = s * eisenstein(2, order) ** a
-    if b:
-        s = s * eisenstein(4, order) ** b
-    if c:
-        s = s * eisenstein(6, order) ** c
-    return tuple(s.coeffs)
+    """q^0..q^order of E2^a E4^b E6^c as ints, built incrementally.
+
+    The cached column with one lower c (else b, else a) times the integer
+    expansion of E6 (else E4, else E2): one O(order^2) convolution.
+    """
+    if order < 0:
+        raise ValueError("window does not reach the monomial")
+    if not (a or b or c):
+        return (1,) + (0,) * order
+    key, weight = ((a, b, c - 1), 6) if c else ((a, b - 1, c), 4) if b else ((a - 1, b, c), 2)
+    prev = _monomial_coeffs(*key, order)
+    gen = [_exact_div(x.numerator, x.denominator) for x in _eisenstein_coeffs(weight, order)]
+    return tuple(sum(map(mul, prev[k::-1], gen[:k + 1])) for k in range(order + 1))
 
 
 def qmod_expand(elem, order):
     """Expand an element of Q[E2,E4,E6] into a certified q-series."""
-    acc = Series.zero("q", order)
-    for (a, b, c), v in elem.sorted_terms():
-        mono = Series("q", 0, list(_monomial_coeffs(a, b, c, order)), order)
-        acc = acc + v * mono
-    return acc
+    return sum((v * Series("q", 0, _monomial_coeffs(*key, order), order)
+                for key, v in elem.sorted_terms()), Series.zero("q", order))
 
 
 def qmod_derive(elem):
@@ -292,65 +303,54 @@ def weight_basis(max_weight):
 
 
 def _solve_exact(columns, rhs, n_rows):
-    """Solve the overdetermined system columns * x = rhs over Fraction.
+    """Solve columns * x = rhs over int, x as Fractions; each has n_rows entries.
 
-    columns is a list of length-n_rows coefficient lists.  Returns the
-    solution vector, or raises NotQuasimodular (inconsistent) or
-    InsufficientPrecision (underdetermined on this window).
+    One LCM clears the rhs denominators.  Fraction-free (Bareiss) elimination
+    pivots on the first row at or below the diagonal nonzero in the column; its
+    entries are nonzero multiples of Gauss's, so no pivot is InsufficientPrecision
+    and a nonzero rhs below the pivots NotQuasimodular.  Back-substitution: det*x.
     """
-    n_cols = len(columns)
-    aug = [[columns[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if aug[r][col]:
-                piv = r
-                break
+    n_cols, det = len(columns), 1
+    den = lcm(*(v.denominator for v in rhs))
+    aug = [[*row, v.numerator * (den // v.denominator)] for *row, v in zip(*columns, rhs)]
+    for k in range(n_cols):
+        piv = next((r for r in range(k, n_rows) if aug[r][k]), None)
         if piv is None:
-            raise InsufficientPrecision(
-                "window too short to separate basis monomials")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    if len(pivots) < n_cols:
-        raise InsufficientPrecision("window too short to separate basis monomials")
-    for r in range(row, n_rows):
-        if aug[r][n_cols]:
-            raise NotQuasimodular("series is not quasimodular of the allowed weight")
-    return [aug[i][n_cols] for i in range(n_cols)]
+            raise InsufficientPrecision("window too short to separate basis monomials")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        rk = aug[k]
+        for ri in aug[k + 1:]:
+            ri[k + 1:] = [_exact_div(rk[k] * x - ri[k] * y, det)
+                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        det = rk[k]
+    if any(row[n_cols] for row in aug[n_cols:]):
+        raise NotQuasimodular("series is not quasimodular of the allowed weight")
+    x = [0] * n_cols
+    for k, rk in reversed(list(enumerate(aug[:n_cols]))):
+        x[k] = _exact_div(det * rk[n_cols] - sum(map(mul, rk[k + 1:n_cols], x[k + 1:])), rk[k])
+    return [Fraction(v, det * den) for v in x]
 
 
 def qmod_recognize(f, max_weight):
     """Find the element of weight <= max_weight whose expansion equals f.
 
     f must be a q-series with min_exp >= 0 and a window of at least
-    dim(basis) + 5 coefficients; the match is re-verified on the full
-    window before returning.
+    dim(basis) + 5 coefficients.  The integer columns and fraction-free
+    elimination give a candidate; it is re-verified by expanding it on the
+    full window before returning, so the answer is a certificate.
     """
     if f.var != "q":
         raise ValueError("recognition expects a q-series")
     if f.min_exp < 0:
         raise ValueError("series has a pole; multiply by the discriminant first")
     basis = weight_basis(max_weight)
-    dim = len(basis)
     n_rows = f.order + 1
-    if n_rows < dim + 5:
+    if n_rows < len(basis) + 5:
         raise InsufficientPrecision(
-            f"need at least {dim + 5} certified coefficients, have {n_rows}")
-    rhs = [f.coeff(k) for k in range(0, f.order + 1)]
-    columns = [list(_monomial_coeffs(a, b, c, f.order)) for (a, b, c) in basis]
-    sol = _solve_exact(columns, rhs, n_rows)
-    elem = QModElement({basis[j]: sol[j] for j in range(dim)})
+            f"need at least {len(basis) + 5} certified coefficients, have {n_rows}")
+    columns = [_monomial_coeffs(*key, f.order) for key in basis]
+    sol = _solve_exact(columns, [f.coeff(k) for k in range(n_rows)], n_rows)
+    elem = QModElement(dict(zip(basis, sol)))
     if qmod_expand(elem, f.order) != f:
         raise NotQuasimodular("re-verification failed")
     return elem

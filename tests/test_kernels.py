@@ -1,11 +1,12 @@
-"""Oracles and window-soundness tests for the log-derivative recurrence kernels.
+"""Oracles and window-soundness tests for the series kernels.
 
 weighted_product, discriminant_q, discriminant_yq, both inverse
 discriminants, series_exp and series_log all run one recurrence.  The
 references below are the factor-by-factor products and power sums that the
 recurrence replaced, written out here so that no expected value is computed
-through it.  The window tests compute each kernel at a long and a short
-size, compare on the short window, and check that one step past it raises.
+through it.  The window tests compute each kernel (these, plus the scalar
+Series product, series_inv and trig_substitute) at a long and a short size,
+compare on the short window, and check that one step past it raises.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from k3series.series import (
     series_exp,
     series_inv,
     series_log,
+    trig_substitute,
     weighted_product,
 )
 
@@ -339,6 +341,50 @@ def test_exp_log_windows():
         lg = series_log(1 + short)
         check_long_short(series_log(1 + a), lg, (lg.min_exp, m))
         assert lg.min_exp >= val
+
+
+def test_scalar_product_window():
+    # a * b is certified to min(a.order + b.min_exp, b.order + a.min_exp)
+    rng = random.Random(45)
+    for _ in range(30):
+        a, b = (random_q_series(rng, -2, 24, order=24) for _ in range(2))
+        ma, mb = rng.randint(a.min_exp, 20), rng.randint(b.min_exp, 20)
+        window = (a.min_exp + b.min_exp, min(ma + b.min_exp, mb + a.min_exp))
+        check_long_short(a * b, a.truncate(ma) * b.truncate(mb), window)
+
+
+def test_series_inv_window():
+    # the inverse of q^m (a_0 + a_1 q + ...) is certified to a.order - 2m
+    rng = random.Random(46)
+    for m in (-2, -1, -1, 0, 1, 2):
+        for _ in range(5):
+            lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            a = Series("q", m, [lead] + [random_rational(rng) for _ in range(22)])
+            t = rng.randint(m, a.order - 1)
+            check_long_short(series_inv(a), series_inv(a.truncate(t)), (-m, t - 2 * m))
+    # the q^-1-led Laurent input 1/Delta inverts back to Delta
+    a = inv_discriminant_q(30)
+    for t in (-1, 0, 7, 20):
+        short = series_inv(a.truncate(t))
+        check_long_short(series_inv(a), short, (1, t + 2))
+        assert short == discriminant_q(t + 2)
+
+
+def test_trig_substitute_window():
+    # the even u-series is certified to the requested order, whatever deg p is;
+    # orders start at 1 because trig_substitute(p, 0) raises ValueError
+    # (sin_half_square(0) builds a window with the wrong coefficient count)
+    rng = random.Random(47)
+    for _ in range(15):
+        terms = {}
+        for d in range(rng.randint(0, 6) + 1):
+            terms[d] = terms[-d] = random_rational(rng)
+        p = YLaurent(terms)
+        m = rng.randint(1, 29)
+        short = trig_substitute(p, m)
+        check_long_short(trig_substitute(p, 30), short, (short.min_exp, m))
+        assert short.min_exp >= 0
+        assert all(short.coeff(k) == 0 for k in range(1, m + 1, 2))
 
 
 # -- large-N oracles ----------------------------------------------------------

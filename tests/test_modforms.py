@@ -2,7 +2,9 @@
 
 Numeric oracles are frozen table values (divisor sums, tau coefficients)
 rather than recomputations through the library.  Recognition is checked
-as an exact round trip plus both failure modes.
+as an exact round trip plus both failure modes; its integer columns against
+Eisenstein products, and its Bareiss solver against the Gauss-Jordan
+elimination over Fraction that it replaced, kept here as the reference.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from k3series.modforms import (
     qmod_to_text,
     weight_basis,
 )
+from k3series.modforms import _monomial_coeffs, _solve_exact
 
 
 def test_bernoulli_frozen_values():
@@ -169,3 +172,164 @@ def test_ramanujan_derivation_rules():
     assert qmod_derive(e2) == (e2 * e2 - e4) * Fraction(1, 12)
     assert qmod_derive(e4) == (e2 * e4 - e6) * Fraction(1, 3)
     assert qmod_derive(e6) == (e2 * e6 - e4 * e4) * Fraction(1, 2)
+
+
+# -- recognition layer: integer columns and fraction-free elimination ---------
+
+def gauss_jordan_reference(columns, rhs, n_rows):
+    """Gauss-Jordan elimination over Fraction, the solver Bareiss replaced."""
+    n_cols = len(columns)
+    aug = [[columns[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        piv = None
+        for r in range(row, n_rows):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            raise InsufficientPrecision("window too short to separate basis monomials")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = Fraction(1) / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(n_rows):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == n_rows:
+            break
+    if len(pivots) < n_cols:
+        raise InsufficientPrecision("window too short to separate basis monomials")
+    for r in range(row, n_rows):
+        if aug[r][n_cols]:
+            raise NotQuasimodular("series is not quasimodular of the allowed weight")
+    return [aug[i][n_cols] for i in range(n_cols)]
+
+
+def solve_outcome(solver, columns, rhs, n_rows):
+    try:
+        return ("solution", solver(columns, rhs, n_rows))
+    except (InsufficientPrecision, NotQuasimodular) as exc:
+        return ("raises", type(exc))
+
+
+def random_system(rng, n_rows, n_cols, kind):
+    """Int columns and a rational rhs; kind picks the rank and consistency."""
+    sparse = rng.random() < 0.5
+
+    def entry():
+        return 0 if sparse and rng.random() < 0.6 else rng.randint(-30, 30)
+
+    columns = [[entry() for _ in range(n_rows)] for _ in range(n_cols)]
+    if kind == "duplicate" and n_cols >= 2:
+        i, j = rng.sample(range(n_cols), 2)
+        columns[j] = list(columns[i])
+    if kind == "combination" and n_cols >= 3:
+        i, j, t = rng.sample(range(n_cols), 3)
+        a, b = rng.randint(-4, 4), rng.randint(1, 4)
+        columns[t] = [a * x + b * y for x, y in zip(columns[i], columns[j])]
+    x = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7, 10, 12])) for _ in range(n_cols)]
+    rhs = [sum((col[i] * v for col, v in zip(columns, x)), Fraction(0)) for i in range(n_rows)]
+    if kind == "zero":
+        rhs = [Fraction(0)] * n_rows
+    if kind == "inconsistent" and n_rows:
+        rhs[rng.randrange(n_rows)] += Fraction(rng.choice([1, -1]), rng.randint(1, 9))
+    if kind == "mixed":
+        rhs = [v if rng.random() < 0.5 else v + Fraction(rng.randint(-5, 5), rng.randint(1, 40))
+               for v in rhs]
+        rhs = [int(v) if v.denominator == 1 else v for v in rhs]
+    return columns, rhs
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "duplicate", "combination",
+                                  "mixed", "zero"])
+def test_solve_exact_matches_gauss_jordan(kind):
+    rng = random.Random(f"solve-{kind}")
+    seen = set()
+    for trial in range(60):
+        n_cols = rng.randint(0, 8)
+        # n_rows == n_cols, a little short, and overdetermined
+        n_rows = max(0, n_cols + rng.choice([0, 0, -1, 1, 3, 6]))
+        columns, rhs = random_system(rng, n_rows, n_cols, kind)
+        got = solve_outcome(_solve_exact, columns, rhs, n_rows)
+        want = solve_outcome(gauss_jordan_reference, columns, rhs, n_rows)
+        assert got == want, (kind, trial)
+        if got[0] == "solution":
+            assert all(type(v) is Fraction for v in got[1])
+        seen.add(got[1] if got[0] == "raises" else "solution")
+    assert "solution" in seen and InsufficientPrecision in seen
+    if kind in ("inconsistent", "mixed"):
+        assert NotQuasimodular in seen
+
+
+def test_solve_exact_square_full_rank():
+    rng = random.Random(7)
+    for n in range(1, 9):
+        columns = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        columns[0] = [v or 1 for v in columns[0]]
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        want = solve_outcome(gauss_jordan_reference, columns, rhs, n)
+        assert solve_outcome(_solve_exact, columns, rhs, n) == want
+
+
+def test_solve_exact_matches_gauss_jordan_on_recognition_columns():
+    # every window length, so short windows reach the no-pivot branch
+    rng = random.Random(9)
+    basis = weight_basis(10)
+    elem = QModElement({key: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for key in basis})
+    f = qmod_expand(elem, 30)
+    seen = set()
+    for n_rows in range(31):
+        columns = [_monomial_coeffs(*key, 30)[:n_rows] for key in basis]
+        for bump in (0, Fraction(1, 3)):
+            rhs = [f.coeff(k) + (bump if k == n_rows // 2 else 0) for k in range(n_rows)]
+            want = solve_outcome(gauss_jordan_reference, columns, rhs, n_rows)
+            assert solve_outcome(_solve_exact, columns, rhs, n_rows) == want
+            seen.add(want[1] if want[0] == "raises" else "solution")
+    assert seen == {"solution", InsufficientPrecision, NotQuasimodular}
+
+
+def test_monomial_columns_are_ints_equal_to_eisenstein_products():
+    for order in (0, 1, 30):
+        e2, e4, e6 = (eisenstein(w, order) for w in (2, 4, 6))
+        for a, b, c in weight_basis(16):
+            want = e2 ** a * e4 ** b * e6 ** c
+            got = _monomial_coeffs(a, b, c, order)
+            assert all(type(v) is int for v in got)
+            assert list(got) == [want.coeff(k) for k in range(order + 1)]
+    with pytest.raises(ValueError):
+        _monomial_coeffs(1, 0, 0, -1)
+
+
+def test_recognition_runs_without_series_products(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("recognition fell back to a series product or power")
+
+    rng = random.Random(8)
+    elem = QModElement({key: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                        for key in weight_basis(12)})
+    f = qmod_expand(elem, len(weight_basis(12)) + 6)
+    _monomial_coeffs.cache_clear()
+    monkeypatch.setattr(Series, "__mul__", forbidden)
+    monkeypatch.setattr(Series, "__pow__", forbidden)
+    assert qmod_recognize(f, 12) == elem
+
+
+def test_recognize_weight_20():
+    rng = random.Random(20)
+    basis = weight_basis(20)
+    dim = len(basis)
+    elem = QModElement({key: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                        for key in basis if rng.random() < 0.7})
+    f = qmod_expand(elem, dim + 5)
+    assert qmod_recognize(f, 20) == elem
+    # not q^0: the constant 1 is itself a basis element
+    k = rng.randrange(1, dim + 6)
+    bad = Series("q", 0, [f.coeff(j) + (j == k) for j in range(dim + 6)], dim + 5)
+    with pytest.raises(NotQuasimodular):
+        qmod_recognize(bad, 20)
+    with pytest.raises(InsufficientPrecision):
+        qmod_recognize(f.truncate(dim + 3), 20)
