@@ -294,11 +294,8 @@ def ky_euler_table(n_max, h_max):
 
 def _ascending_extract(row, n):
     """Coefficient of y^n in row(y) * sum_{i>=1} i y^i."""
-    acc = Fraction(0)
-    for j, c in row.terms.items():
-        if n - j >= 1:
-            acc += c * (n - j)
-    return acc
+    acc = sum(c * (n - j) for j, c in enumerate(row.nums[:max(n - row.lo, 0)], row.lo))
+    return Fraction(acc, row.den)
 
 
 def signed_euler_table(euler):
@@ -324,12 +321,9 @@ def pairs_signed_Z(h, n_window):
     mismatches = []
     for n in range(1 - h, n_window + 1):
         # y/(1+y)^2 = sum_{i>=1} (-1)^{i-1} i y^i
-        acc = Fraction(0)
-        for j, c in numerator.terms.items():
-            i = n - j
-            if i >= 1:
-                acc += c * Fraction(_sign(i - 1) * i)
-        if acc != signed.value(n, h):
+        acc = sum(c * _sign(n - j - 1) * (n - j) for j, c in
+                  enumerate(numerator.nums[:max(n - numerator.lo, 0)], numerator.lo))
+        if Fraction(acc, numerator.den) != signed.value(n, h):
             mismatches.append(n)
     report = {
         "h": h,

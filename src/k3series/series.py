@@ -9,13 +9,16 @@ coefficient-wise equality on the common certified window.
 
 Coefficients may be int/Fraction, YLaurent, or another Series (for bivariate
 work an outer u-series holds q-series coefficients).  All operations stay
-exact; no floats anywhere.
+exact; no floats anywhere.  A YLaurent is a dense list of int numerators over
+one common denominator, and a product of two series with rational
+coefficients is fraction-free: one int convolution over cleared denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 
 class PrecisionError(Exception):
@@ -26,7 +29,7 @@ def _is_exact_zero(c):
     if isinstance(c, Series):
         return False
     if isinstance(c, YLaurent):
-        return not c.terms
+        return not c.nums
     return c == 0
 
 
@@ -46,82 +49,126 @@ def _inv_coeff(c):
 
 
 class YLaurent:
-    """Exact Laurent polynomial in y with Fraction coefficients.
+    """Exact Laurent polynomial in y with rational coefficients.
 
-    Terms are a dict exponent -> nonzero Fraction.  Supports the ring ops,
-    the involution y -> 1/y, and the sign substitution y -> -y.
+    Stored dense over one common denominator: the value is
+    sum_i nums[i] y^(lo + i) / den with int numerators, den > 0,
+    gcd(den, *nums) == 1 and no zero numerator at either end (the zero
+    polynomial is lo = 0, nums = [], den = 1).  The form is canonical, so
+    equality compares fields, and a product is one int convolution.
+    Supports the ring ops, the involution y -> 1/y, and the sign
+    substitution y -> -y; `terms` is the read-only view exponent -> Fraction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("lo", "nums", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                v = Fraction(v)
-                if v:
-                    self.terms[k] = v
+        vals = {k: Fraction(v) for k, v in terms.items()} if terms else {}
+        vals = {k: v for k, v in vals.items() if v}
+        self.lo, self.nums, self.den = 0, [], 1
+        if vals:
+            # over the lcm of reduced denominators the numerators share no factor
+            self.den = lcm(*[v.denominator for v in vals.values()])
+            self.lo = min(vals)
+            self.nums = [0] * (max(vals) - self.lo + 1)
+            for k, v in vals.items():
+                self.nums[k - self.lo] = v.numerator * (self.den // v.denominator)
+
+    @classmethod
+    def _normalized(cls, lo, nums, den):
+        """The polynomial sum nums[i] y^(lo+i) / den, trimmed and in lowest terms."""
+        i, j = 0, len(nums)
+        while i < j and not nums[i]:
+            i += 1
+        while j > i and not nums[j - 1]:
+            j -= 1
+        out = object.__new__(cls)
+        if i == j:
+            out.lo, out.nums, out.den = 0, [], 1
+            return out
+        if i or j < len(nums):
+            nums = nums[i:j]
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        out.lo, out.nums, out.den = lo + i, nums, den
+        return out
+
+    @property
+    def terms(self):
+        """A fresh dict exponent -> nonzero Fraction."""
+        return {self.lo + i: Fraction(x, self.den) for i, x in enumerate(self.nums) if x}
 
     @classmethod
     def y_power(cls, k, coeff=1):
         return cls({k: Fraction(coeff)})
 
     def coeff(self, k):
-        return self.terms.get(k, Fraction(0))
+        i = k - self.lo
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
+        return Fraction(0)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def min_exp(self):
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no support")
-        return min(self.terms)
+        return self.lo
 
     def max_exp(self):
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no support")
-        return max(self.terms)
+        return self.lo + len(self.nums) - 1
 
     def conj(self):
         """The involution y -> 1/y."""
-        return YLaurent({-k: v for k, v in self.terms.items()})
+        return YLaurent._normalized(1 - self.lo - len(self.nums), self.nums[::-1], self.den)
 
     def substitute_neg(self):
         """The substitution y -> -y."""
-        return YLaurent({k: (v if k % 2 == 0 else -v) for k, v in self.terms.items()})
+        nums = [-x if (self.lo + i) % 2 else x for i, x in enumerate(self.nums)]
+        return YLaurent._normalized(self.lo, nums, self.den)
 
     def is_symmetric(self):
-        return self.terms == self.conj().terms
+        return self.nums == self.nums[::-1] and (not self.nums or self.max_exp() == -self.lo)
 
     def evaluate_one(self):
         """Value at y = 1."""
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
     def inverse_unit(self):
-        if len(self.terms) != 1:
+        if len(self.nums) != 1:
             raise ValueError("only monomials are invertible in YLaurent")
-        (k, v), = self.terms.items()
-        return YLaurent({-k: Fraction(1) / v})
+        n = self.nums[0]
+        return YLaurent._normalized(-self.lo, [self.den if n > 0 else -self.den], abs(n))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __neg__(self):
-        return YLaurent({k: -v for k, v in self.terms.items()})
+        return YLaurent._normalized(self.lo, [-x for x in self.nums], self.den)
 
     def __add__(self, other):
         if _is_scalar(other):
             other = YLaurent({0: other})
         if not isinstance(other, YLaurent):
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return YLaurent(out)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den = lcm(self.den, other.den)
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.max_exp(), other.max_exp()) - lo + 1)
+        for p in (self, other):
+            f = den // p.den
+            for i, x in enumerate(p.nums, p.lo - lo):
+                out[i] += x * f
+        return YLaurent._normalized(lo, out, den)
 
     __radd__ = __add__
 
@@ -133,19 +180,18 @@ class YLaurent:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return YLaurent({k: v * other for k, v in self.terms.items()})
+            return YLaurent._normalized(
+                self.lo, [x * other.numerator for x in self.nums], self.den * other.denominator)
         if not isinstance(other, YLaurent):
             return NotImplemented
-        out = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                k = i + j
-                s = out.get(k, Fraction(0)) + a * b
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return YLaurent(out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return YLaurent()
+        # out[k] = sum_i a[i] b[k-i], each one sum over a slice of a and reversed b
+        la, lb, rb = len(a), len(b), b[::-1]
+        out = [sum(map(mul, a[max(0, k - lb + 1):k + 1], rb[max(lb - 1 - k, 0):lb + la - 1 - k]))
+               for k in range(la + lb - 1)]
+        return YLaurent._normalized(self.lo + other.lo, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -166,12 +212,12 @@ class YLaurent:
             other = YLaurent({0: other})
         if not isinstance(other, YLaurent):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.lo, self.den, self.nums) == (other.lo, other.den, other.nums)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "YLaurent(0)"
-        bits = [f"{v}*y^{k}" for k, v in sorted(self.terms.items())]
+        bits = [f"{Fraction(x, self.den)}*y^{self.lo + i}" for i, x in enumerate(self.nums) if x]
         return "YLaurent(" + " + ".join(bits) + ")"
 
 
@@ -272,10 +318,28 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product, certified from a.min_exp + b.min_exp through
+        min(a.order + b.min_exp, b.order + a.min_exp).
+
+        When every coefficient of both factors is an int or a Fraction the
+        product is fraction-free: each factor's denominators are cleared by
+        one lcm, the int lists are convolved, and each output coefficient is
+        one Fraction(s, da * db).  YLaurent and nested-Series coefficients
+        run the generic loop.  A non-series factor scales every coefficient.
+        """
         if isinstance(other, Series) and other.var == self.var:
             a, b = self, other
             lo = a.min_exp + b.min_exp
             hi = min(a.order + b.min_exp, b.order + a.min_exp)
+            if all(map(_is_scalar, a.coeffs)) and all(map(_is_scalar, b.coeffs)):
+                n = hi - lo + 1
+                x, da = _cleared(a.coeffs[:n])
+                rev, db = _cleared(b.coeffs[:n][::-1])
+                den = da * db
+                # coefficient lo + k is sum_{i<=k} x[i] y[k-i], and y[k-i] = rev[n-1-k+i]
+                coeffs = [Fraction(sum(map(mul, x[:k + 1], rev[n - 1 - k:])), den)
+                          for k in range(n)]
+                return Series(self.var, lo, coeffs, hi)
             coeffs = []
             for k in range(lo, hi + 1):
                 acc = Fraction(0)
@@ -337,6 +401,12 @@ class Series:
         tail = " + ..." if self.order > self.min_exp + 7 else ""
         body = " + ".join(bits) if bits else "0"
         return f"<Series {body}{tail} (order {self.order})>"
+
+
+def _cleared(coeffs):
+    """(nums, den): int numerators over one common denominator den = lcm."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def series_inv(a):
@@ -472,33 +542,36 @@ def _exp_recurrence(d, n, one):
     return p
 
 
-def to_w_basis(p):
-    """Rewrite a symmetric YLaurent as a polynomial in w = y + 1/y.
+def _w_numerators(p):
+    """(b, den) with p = sum_d b[d] w^d / den, w = y + 1/y, b over int.
 
-    Returns the list [b_0, b_1, ...] with p = sum b_d * w^d.
+    Peels the top power off the numerators for y^0..y^top: w^d contributes
+    C(d, k) at y^(d - 2k), so the reduction never leaves the int list.
     """
     if not isinstance(p, YLaurent):
         p = YLaurent({0: p})
     if not p.is_symmetric():
         raise ValueError("polynomial is not symmetric under y -> 1/y")
     if p.is_zero():
-        return [Fraction(0)]
+        return [0], 1
     top = p.max_exp()
-    w = YLaurent({1: 1, -1: 1})
-    wpow = [YLaurent({0: 1})]
-    for _ in range(top):
-        wpow.append(wpow[-1] * w)
-    out = [Fraction(0)] * (top + 1)
-    rem = p
-    for d in range(top, 0, -1):
-        c = rem.coeff(d)
+    rem = p.nums[top:]  # rem[e] is the numerator of y^e, e = 0..top
+    out = [0] * (top + 1)
+    for d in range(top, -1, -1):
+        c = out[d] = rem[d]
         if c:
-            out[d] = c
-            rem = rem - wpow[d] * c
-    if rem.terms and set(rem.terms) != {0}:
-        raise ValueError("symmetric reduction failed")
-    out[0] = rem.coeff(0)
-    return out
+            for k in range(d // 2 + 1):
+                rem[d - 2 * k] -= c * comb(d, k)
+    return out, p.den
+
+
+def to_w_basis(p):
+    """Rewrite a symmetric YLaurent as a polynomial in w = y + 1/y.
+
+    Returns the list [b_0, b_1, ...] with p = sum b_d * w^d.
+    """
+    b, den = _w_numerators(p)
+    return [Fraction(x, den) for x in b]
 
 
 def symmetric_to_z(p):
@@ -506,25 +579,26 @@ def symmetric_to_z(p):
 
     Returns [a_0, a_1, ...]; the z-degree equals the y-degree of p.
     """
-    b = to_w_basis(p)
-    out = [Fraction(0)] * len(b)
+    b, den = _w_numerators(p)
+    out = [0] * len(b)
     # w = z + 2, so w^d = sum_g C(d,g) 2^(d-g) z^g
     for d, bd in enumerate(b):
         if bd:
             for g in range(d + 1):
-                out[g] += bd * comb(d, g) * Fraction(2) ** (d - g)
+                out[g] += bd * comb(d, g) * 2 ** (d - g)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return out
+    return [Fraction(x, den) for x in out]
 
 
 def sin_half_square(order, multiple=1, var="u"):
     """(2 sin(multiple*u/2))^2 = 2 - 2 cos(multiple*u) as an exact u-series."""
     d = multiple
-    coeffs = [Fraction(0)] * (order - 1)
+    coeffs = [Fraction(0)] * max(order - 1, 0)
     for j in range(1, order // 2 + 1):
         coeffs[2 * j - 2] = Fraction((-1) ** (j + 1) * 2 * d ** (2 * j), factorial(2 * j))
-    return Series(var, 2, coeffs, order)
+    # below order 2 the window is empty: [order + 1, order]
+    return Series(var, min(2, order + 1), coeffs, order)
 
 
 def trig_substitute(p, order, var="u"):

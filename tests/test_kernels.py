@@ -6,7 +6,10 @@ references below are the factor-by-factor products and power sums that the
 recurrence replaced, written out here so that no expected value is computed
 through it.  The window tests compute each kernel (these, plus the scalar
 Series product, series_inv and trig_substitute) at a long and a short size,
-compare on the short window, and check that one step past it raises.
+compare on the short window, and check that one step past it raises.  The
+coefficient-ring tests hold the dense YLaurent and the fraction-free scalar
+Series product against test-local copies of the dict-of-Fraction YLaurent
+and the generic product loop they replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from k3series.series import (
     series_exp,
     series_inv,
     series_log,
+    sin_half_square,
+    symmetric_to_z,
+    to_w_basis,
     trig_substitute,
     weighted_product,
 )
@@ -106,6 +112,159 @@ def power_sum_log(a):
         acc = acc + Fraction((-1) ** (k + 1), k) * term
         k += 1
     return acc.truncate(a.order)
+
+
+class DictYLaurent:
+    """The exponent -> Fraction dict YLaurent that the dense one replaced."""
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for k, v in terms.items():
+                v = Fraction(v)
+                if v:
+                    self.terms[k] = v
+
+    def coeff(self, k):
+        return self.terms.get(k, Fraction(0))
+
+    def is_zero(self):
+        return not self.terms
+
+    def min_exp(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no support")
+        return min(self.terms)
+
+    def max_exp(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no support")
+        return max(self.terms)
+
+    def conj(self):
+        return DictYLaurent({-k: v for k, v in self.terms.items()})
+
+    def substitute_neg(self):
+        return DictYLaurent({k: (v if k % 2 == 0 else -v) for k, v in self.terms.items()})
+
+    def is_symmetric(self):
+        return self.terms == self.conj().terms
+
+    def evaluate_one(self):
+        return sum(self.terms.values(), Fraction(0))
+
+    def inverse_unit(self):
+        if len(self.terms) != 1:
+            raise ValueError("only monomials are invertible in YLaurent")
+        (k, v), = self.terms.items()
+        return DictYLaurent({-k: Fraction(1) / v})
+
+    def __neg__(self):
+        return DictYLaurent({k: -v for k, v in self.terms.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DictYLaurent({0: other})
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k, Fraction(0)) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return DictYLaurent(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, DictYLaurent) else -Fraction(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return DictYLaurent({k: v * other for k, v in self.terms.items()})
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                k = i + j
+                s = out.get(k, Fraction(0)) + a * b
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return DictYLaurent(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse_unit() ** (-n)
+        out = DictYLaurent({0: 1})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DictYLaurent({0: other})
+        return self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "YLaurent(0)"
+        bits = [f"{v}*y^{k}" for k, v in sorted(self.terms.items())]
+        return "YLaurent(" + " + ".join(bits) + ")"
+
+
+def dict_to_w_basis(p):
+    """The YLaurent-product reduction to w = y + 1/y on DictYLaurent."""
+    if not p.is_symmetric():
+        raise ValueError("polynomial is not symmetric under y -> 1/y")
+    if p.is_zero():
+        return [Fraction(0)]
+    top = p.max_exp()
+    w = DictYLaurent({1: 1, -1: 1})
+    wpow = [DictYLaurent({0: 1})]
+    for _ in range(top):
+        wpow.append(wpow[-1] * w)
+    out = [Fraction(0)] * (top + 1)
+    rem = p
+    for d in range(top, 0, -1):
+        c = rem.coeff(d)
+        if c:
+            out[d] = c
+            rem = rem - wpow[d] * c
+    assert not rem.terms or set(rem.terms) == {0}
+    out[0] = rem.coeff(0)
+    return out
+
+
+def dict_symmetric_to_z(p):
+    b = dict_to_w_basis(p)
+    out = [Fraction(0)] * len(b)
+    for d, bd in enumerate(b):
+        if bd:
+            for g in range(d + 1):
+                out[g] += bd * comb(d, g) * Fraction(2) ** (d - g)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def generic_mul(a, b):
+    """The coefficient-by-coefficient Series product, accumulating from Fraction(0)."""
+    lo = a.min_exp + b.min_exp
+    hi = min(a.order + b.min_exp, b.order + a.min_exp)
+    coeffs = []
+    for k in range(lo, hi + 1):
+        acc = Fraction(0)
+        for i in range(max(a.min_exp, k - b.order), min(a.order, k - b.min_exp) + 1):
+            acc = acc + a.coeffs[i - a.min_exp] * b.coeffs[k - i - b.min_exp]
+        coeffs.append(acc)
+    return Series(a.var, lo, coeffs, hi)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -371,20 +530,119 @@ def test_series_inv_window():
 
 
 def test_trig_substitute_window():
-    # the even u-series is certified to the requested order, whatever deg p is;
-    # orders start at 1 because trig_substitute(p, 0) raises ValueError
-    # (sin_half_square(0) builds a window with the wrong coefficient count)
+    # the even u-series is certified to the requested order, whatever deg p is
     rng = random.Random(47)
-    for _ in range(15):
+    for i in range(15):
         terms = {}
         for d in range(rng.randint(0, 6) + 1):
             terms[d] = terms[-d] = random_rational(rng)
         p = YLaurent(terms)
-        m = rng.randint(1, 29)
+        m = i if i < 2 else rng.randint(2, 29)
         short = trig_substitute(p, m)
         check_long_short(trig_substitute(p, 30), short, (short.min_exp, m))
         assert short.min_exp >= 0
         assert all(short.coeff(k) == 0 for k in range(1, m + 1, 2))
+    # at order 0 only the u^0 term is left: 3 + w -> 3 + (s^2 - 2) = 1 + O(u^2)
+    got = trig_substitute(YLaurent({0: 3, 1: 1, -1: 1}), 0)
+    assert got.window() == (0, 0) and got.coeffs == [1]
+    assert sin_half_square(0).window() == (1, 0)
+    assert sin_half_square(1).window() == (2, 1)
+
+
+# -- coefficient rings --------------------------------------------------------
+
+def random_terms(rng):
+    """Exponent -> rational dicts: integral or not, sparse, zero, monomials."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return {}
+    if kind == 1:
+        return {rng.randint(-6, 6): random_rational(rng)}
+    lo = rng.randint(-6, 3)
+    terms = {k: (rng.randint(-9, 9) if kind == 2 else random_rational(rng))
+             for k in range(lo, lo + rng.randint(1, 8)) if rng.random() < 0.8}
+    return terms
+
+
+def assert_same(got, want):
+    assert isinstance(got, YLaurent)
+    assert got.terms == want.terms
+    assert all(type(v) is Fraction for v in got.terms.values())
+    assert repr(got) == repr(want)
+    assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items()))
+
+
+def test_dense_ylaurent_matches_dict_reference():
+    rng = random.Random(61)
+    for _ in range(300):
+        ta, tb = random_terms(rng), random_terms(rng)
+        if ta and rng.random() < 0.4:
+            # b cancels a's lowest term, highest term or both, so a + b trims at an end
+            for k in rng.choice([[min(ta)], [max(ta)], [min(ta), max(ta)]]):
+                tb[k] = -Fraction(ta[k])
+        a, b, ra, rb = YLaurent(ta), YLaurent(tb), DictYLaurent(ta), DictYLaurent(tb)
+        n, f, k = rng.randint(-5, 5), random_rational(rng), rng.randint(0, 3)
+        for got, want in ((a, ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                          (a * n, ra * n), (n * a, n * ra), (a * f, ra * f),
+                          (f * a, f * ra), (a + n, ra + n), (f + a, f + ra), (a - f, ra - f),
+                          (-a, -ra), (a ** k, ra ** k),
+                          (a.conj(), ra.conj()), (a.substitute_neg(), ra.substitute_neg())):
+            assert_same(got, want)
+        assert (a == b) == (ra == rb) and (a == n) == (ra == n) and (a == f) == (ra == f)
+        assert a == YLaurent(ta) and (a + b) - b == a
+        assert a.is_symmetric() == ra.is_symmetric()
+        assert a.is_zero() == ra.is_zero() and bool(a) == bool(ra.terms)
+        assert a.evaluate_one() == ra.evaluate_one()
+        assert type(a.evaluate_one()) is Fraction
+        for e in range(-8, 9):
+            assert a.coeff(e) == ra.coeff(e) and type(a.coeff(e)) is Fraction
+        for name in ("min_exp", "max_exp", "inverse_unit"):
+            try:
+                want = getattr(ra, name)()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    getattr(a, name)()
+                continue
+            got = getattr(a, name)()
+            if name == "inverse_unit":
+                assert_same(got, want)
+                assert_same(a ** -2, ra ** -2)
+            else:
+                assert got == want
+        sym, rsym = a + a.conj(), ra + ra.conj()
+        assert_same(sym, rsym)
+        assert to_w_basis(sym) == dict_to_w_basis(rsym)
+        assert symmetric_to_z(sym) == dict_symmetric_to_z(rsym)
+        assert all(type(c) is Fraction for c in to_w_basis(sym) + symmetric_to_z(sym))
+        if not ra.is_symmetric():
+            with pytest.raises(ValueError):
+                to_w_basis(a)
+
+
+def test_fraction_free_product_matches_generic_loop():
+    rng = random.Random(62)
+
+    def coeff():
+        r = rng.random()
+        return 0 if r < 0.15 else rng.randint(-9, 9) if r < 0.5 else random_rational(rng)
+
+    for _ in range(400):
+        pair = []
+        for _ in range(2):
+            mn = rng.randint(-2, 2)
+            length = rng.choice([0, 1, rng.randint(0, 14)])
+            coeffs = [coeff() for _ in range(length)]
+            if coeffs and rng.random() < 0.3:
+                coeffs[0] = rng.choice([0, Fraction(0)])  # a leading exact zero lifts the floor
+            pair.append(Series("q", mn, coeffs, mn + length - 1))
+        a, b = pair
+        got, want = a * b, generic_mul(a, b)
+        assert got.window() == want.window()
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs + want.coeffs)
+    # the YLaurent recurrence of Delta(y,q) and 1/Delta(y,q) stays over int
+    for series in (discriminant_yq(30), inv_discriminant_yq(30)):
+        assert all(row.den == 1 for row in series.coeffs)
 
 
 # -- large-N oracles ----------------------------------------------------------

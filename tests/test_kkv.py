@@ -8,6 +8,7 @@ two code paths must agree wherever they overlap.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from k3series.series import Series, YLaurent, series_inv, sin_half_square
 from k3series.kkv import (
     InvariantTable,
+    _ascending_extract,
     bps_r_table,
     bps_transform_check,
     euler_pk,
@@ -231,3 +233,15 @@ def test_invariant_table_interfaces():
 def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 12)) == "-1/12"
+
+
+def test_ascending_extract_on_rational_rows():
+    # the table rows are integral; rational rows check the common denominator
+    rng = random.Random(71)
+    for _ in range(40):
+        terms = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for j in range(rng.randint(-5, 2), rng.randint(-2, 6))}
+        row = YLaurent(terms)
+        for n in range(-8, 10):
+            want = sum((c * (n - j) for j, c in terms.items() if n - j >= 1), Fraction(0))
+            assert _ascending_extract(row, n) == want
