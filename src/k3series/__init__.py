@@ -3,152 +3,9 @@
 Everything is computed over the rationals with certified truncation
 windows: a result is either exact on its stated window or the library
 raises instead of returning a silently wrong coefficient.
+
+Import names from the modules (k3series.series, .modforms, .kkv, .vertex,
+.lowgenus, .cli); the package root exports only __version__.
 """
 
-from .series import (
-    PrecisionError,
-    Series,
-    YLaurent,
-    first_mismatch,
-    q_derive,
-    series_exp,
-    series_from_text,
-    series_inv,
-    series_log,
-    series_to_text,
-    sin_half_square,
-    symmetric_to_z,
-    trig_substitute,
-    weighted_product,
-)
-from .modforms import (
-    InsufficientPrecision,
-    NotQuasimodular,
-    QModElement,
-    bernoulli,
-    c_form,
-    discriminant_q,
-    discriminant_yq,
-    eisenstein,
-    qmod_derive,
-    qmod_expand,
-    qmod_from_text,
-    qmod_recognize,
-    qmod_to_text,
-    weight_basis,
-)
-from .kkv import (
-    CorrespondenceReport,
-    InvariantTable,
-    LogIdentityReport,
-    TransformReport,
-    bps_r_table,
-    bps_transform_check,
-    euler_pk,
-    gw_pairs_check,
-    hodge_r_series,
-    hodge_r_table,
-    inv_discriminant_q,
-    inv_discriminant_yq,
-    inverse_euler_pk,
-    ky_euler_table,
-    log_identity_check,
-    pairs_point_factor,
-    pairs_signed_Z,
-    point_series_gw,
-    point_series_pairs,
-    quasimodularity_audit,
-    signed_euler_table,
-)
-from .vertex import (
-    BoxConfig,
-    Laurent3,
-    NotPolynomial,
-    boxes,
-    constant_term_specialized,
-    divisibility_audit,
-    enumerate_configs,
-    normalize_partition,
-    profile_formula_value,
-    vertex_H,
-    weight_series_F,
-    weight_series_G,
-)
-from .lowgenus import (
-    BoundaryReport,
-    boundary_R,
-    identity_checks,
-    identity_details,
-    stationary_series,
-    t_form,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryReport",
-    "BoxConfig",
-    "CorrespondenceReport",
-    "InsufficientPrecision",
-    "InvariantTable",
-    "Laurent3",
-    "LogIdentityReport",
-    "NotPolynomial",
-    "NotQuasimodular",
-    "PrecisionError",
-    "QModElement",
-    "Series",
-    "TransformReport",
-    "YLaurent",
-    "bernoulli",
-    "boundary_R",
-    "boxes",
-    "bps_r_table",
-    "bps_transform_check",
-    "c_form",
-    "constant_term_specialized",
-    "discriminant_q",
-    "discriminant_yq",
-    "divisibility_audit",
-    "eisenstein",
-    "enumerate_configs",
-    "euler_pk",
-    "first_mismatch",
-    "gw_pairs_check",
-    "hodge_r_series",
-    "hodge_r_table",
-    "identity_checks",
-    "identity_details",
-    "inv_discriminant_q",
-    "inv_discriminant_yq",
-    "inverse_euler_pk",
-    "ky_euler_table",
-    "log_identity_check",
-    "normalize_partition",
-    "pairs_point_factor",
-    "pairs_signed_Z",
-    "point_series_gw",
-    "point_series_pairs",
-    "profile_formula_value",
-    "q_derive",
-    "qmod_derive",
-    "qmod_expand",
-    "qmod_from_text",
-    "qmod_recognize",
-    "qmod_to_text",
-    "quasimodularity_audit",
-    "series_exp",
-    "series_from_text",
-    "series_inv",
-    "series_log",
-    "series_to_text",
-    "signed_euler_table",
-    "sin_half_square",
-    "stationary_series",
-    "symmetric_to_z",
-    "t_form",
-    "trig_substitute",
-    "vertex_H",
-    "weight_basis",
-    "weighted_product",
-]

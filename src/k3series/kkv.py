@@ -212,22 +212,22 @@ def u_slice(bivariate, q_exp):
     return Series("u", bivariate.min_exp, coeffs, bivariate.order)
 
 
-def hodge_r_table(g_max, h_max):
-    """The Hodge integral table R_{g,h}; odd u-rows are asserted zero."""
-    biv = hodge_r_series(2 * g_max - 2, max(h_max - 1, 0))
-    for j in range(biv.min_exp, 2 * g_max - 1):
-        if j % 2:
-            row = biv.coeff(j)
-            if isinstance(row, Series):
-                if not row.is_zero_on_window():
-                    raise AssertionError("odd u-power appears in the Hodge series")
-            elif row != 0:
-                raise AssertionError("odd u-power appears in the Hodge series")
+def _gh_entries(biv, g_max, h_max):
+    """(g, h) -> coefficient of u^{2g-2} q^{h-1}, g <= g_max, h <= h_max."""
     entries = {}
     for g in range(0, g_max + 1):
         for h in range(0, h_max + 1):
             entries[(g, h)] = _inner_coeff(biv, 2 * g - 2, h - 1)
-    return InvariantTable("R", entries)
+    return entries
+
+
+def hodge_r_table(g_max, h_max):
+    """The Hodge integral table R_{g,h}; odd u-rows are asserted zero."""
+    biv = hodge_r_series(2 * g_max - 2, max(h_max - 1, 0))
+    for j in range(biv.min_exp, 2 * g_max - 1):
+        if j % 2 and biv.coeff(j) != 0:
+            raise AssertionError("odd u-power appears in the Hodge series")
+    return InvariantTable("R", _gh_entries(biv, g_max, h_max))
 
 
 @dataclass
@@ -280,12 +280,7 @@ def ky_euler_table(n_max, h_max):
     inv = inv_discriminant_yq(max(h_max - 1, -1))
     entries = {}
     for h in range(0, h_max + 1):
-        row = _as_ylaurent(inv.coeff(h - 1))
-        for n in range(1 - h - 3, 1 - h):
-            if _ascending_extract(row, n):
-                raise AssertionError(f"e(P_{n}(S,{h})) should vanish below n = 1-h")
-        for n in range(1 - h, n_max + 1):
-            v = _ascending_extract(row, n)
+        for n, v in _ascending_values(_as_ylaurent(inv.coeff(h - 1)), h, n_max):
             if v.denominator != 1:
                 raise AssertionError("Euler characteristic is not an integer")
             entries[(n, h)] = v
@@ -296,6 +291,14 @@ def _ascending_extract(row, n):
     """Coefficient of y^n in row(y) * sum_{i>=1} i y^i."""
     acc = sum(c * (n - j) for j, c in enumerate(row.nums[:max(n - row.lo, 0)], row.lo))
     return Fraction(acc, row.den)
+
+
+def _ascending_values(row, h, n_max):
+    """(n, _ascending_extract(row, n)) for n = 1-h..n_max; n = -2-h..-h asserted zero."""
+    for n in range(1 - h - 3, 1 - h):
+        if _ascending_extract(row, n):
+            raise AssertionError(f"row h={h} should vanish at n={n} < 1-h")
+    return [(n, _ascending_extract(row, n)) for n in range(1 - h, n_max + 1)]
 
 
 def signed_euler_table(euler):
@@ -384,11 +387,7 @@ def point_series_gw(k, g_max, h_max):
     table coincides with hodge_r_table.
     """
     biv = _gw_point_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0))
-    entries = {}
-    for g in range(0, g_max + 1):
-        for h in range(0, h_max + 1):
-            entries[(g, h)] = _inner_coeff(biv, 2 * g - 2, h - 1)
-    return biv, InvariantTable("R", entries, meta={"points": k})
+    return biv, InvariantTable("R", _gh_entries(biv, g_max, h_max), meta={"points": k})
 
 
 def pairs_point_numerators(k, h_max):
@@ -419,11 +418,7 @@ def _c_point_entries(rows, k, n_max):
     """Entries (k, n, h) -> C^k_{n,h} read off the numerator rows."""
     entries = {}
     for h, row in rows.items():
-        for n in range(1 - h - 3, 1 - h):
-            if _ascending_extract(row, n):
-                raise AssertionError("C-value should vanish below n = 1 - h")
-        for n in range(1 - h, n_max + 1):
-            v = _ascending_extract(row, n)
+        for n, v in _ascending_values(row, h, n_max):
             entries[(k, n, h)] = Fraction(_sign(n)) * v
     return entries
 
@@ -615,11 +610,7 @@ def quasimodularity_audit(k_max, g_max):
     for k in range(0, k_max + 1):
         biv = _gw_point_bivariate(k, 2 * g_max - 2, q_order + 1)
         for g in range(0, g_max + 1):
-            row = biv.coeff(2 * g - 2)
-            if not isinstance(row, Series):
-                # exact zero below the outer window floor
-                row = Series.zero("q", q_order + 2, -1) + Fraction(row)
-            prod = row * delta
+            prod = biv.coeff(2 * g - 2) * delta
             elem = modforms.qmod_recognize(prod.truncate(min(prod.order, q_order)),
                                            2 * g + 2 * k)
             results.append((k, g, elem))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb
 from operator import mul
 
-from .series import Series, YLaurent, _exp_recurrence, parse_rational, weighted_product
+from .series import Series, YLaurent, _cleared, _exp_recurrence, parse_rational, weighted_product
 
 
 class NotQuasimodular(Exception):
@@ -31,7 +31,6 @@ def bernoulli(n):
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     # recurrence sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1
-    from math import comb
     if n == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -183,8 +182,6 @@ class QModElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QModElement({(0, 0, 0): other})
         return self + (-other)
 
     def __rsub__(self, other):
@@ -311,8 +308,8 @@ def _solve_exact(columns, rhs, n_rows):
     and a nonzero rhs below the pivots NotQuasimodular.  Back-substitution: det*x.
     """
     n_cols, det = len(columns), 1
-    den = lcm(*(v.denominator for v in rhs))
-    aug = [[*row, v.numerator * (den // v.denominator)] for *row, v in zip(*columns, rhs)]
+    nums, den = _cleared(rhs)
+    aug = [[*row, v] for *row, v in zip(*columns, nums)]
     for k in range(n_cols):
         piv = next((r for r in range(k, n_rows) if aug[r][k]), None)
         if piv is None:

@@ -68,11 +68,9 @@ class YLaurent:
         self.lo, self.nums, self.den = 0, [], 1
         if vals:
             # over the lcm of reduced denominators the numerators share no factor
-            self.den = lcm(*[v.denominator for v in vals.values()])
             self.lo = min(vals)
-            self.nums = [0] * (max(vals) - self.lo + 1)
-            for k, v in vals.items():
-                self.nums[k - self.lo] = v.numerator * (self.den // v.denominator)
+            dense = [vals.get(k, 0) for k in range(self.lo, max(vals) + 1)]
+            self.nums, self.den = _cleared(dense)
 
     @classmethod
     def _normalized(cls, lo, nums, den):
@@ -100,10 +98,6 @@ class YLaurent:
     def terms(self):
         """A fresh dict exponent -> nonzero Fraction."""
         return {self.lo + i: Fraction(x, self.den) for i, x in enumerate(self.nums) if x}
-
-    @classmethod
-    def y_power(cls, k, coeff=1):
-        return cls({k: Fraction(coeff)})
 
     def coeff(self, k):
         i = k - self.lo
@@ -354,11 +348,7 @@ class Series:
                 f"variable mismatch: {self.var} vs {other.var} (use scale())")
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, Series):
-            raise ValueError("variable mismatch")
-        return Series(self.var, self.min_exp,
-                      [other * a for a in self.coeffs], self.order)
+    __rmul__ = scale
 
     def __pow__(self, n):
         if n < 0:
@@ -378,11 +368,7 @@ class Series:
 
     def __eq__(self, other):
         if isinstance(other, Series):
-            if self.var != other.var:
-                return False
-            lo = min(self.min_exp, other.min_exp)
-            hi = min(self.order, other.order)
-            return all(self.coeff(k) == other.coeff(k) for k in range(lo, hi + 1))
+            return self.var == other.var and first_mismatch(self, other) is None
         if _is_scalar(other) or isinstance(other, YLaurent):
             lo = min(self.min_exp, 0)
             for k in range(lo, self.order + 1):
@@ -485,8 +471,8 @@ def q_derive(a):
 def first_mismatch(a, b):
     """First exponent where two series differ on their common window, or None.
 
-    Scans the same window that __eq__ compares, so a None result is exactly
-    a == b (for series in the same variable).
+    Series.__eq__ is this scan, so a None result is exactly a == b (for
+    series in the same variable).
     """
     lo = min(a.min_exp, b.min_exp)
     hi = min(a.order, b.order)

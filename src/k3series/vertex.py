@@ -218,9 +218,6 @@ class Laurent3:
             self.num = quotient
             self.e -= 1
 
-    def is_polynomial(self):
-        return self.e == 0
-
     def __add__(self, other):
         if not isinstance(other, Laurent3):
             return NotImplemented

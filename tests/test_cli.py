@@ -9,8 +9,10 @@ quasimodular, 5 insufficient precision.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,9 +249,15 @@ def test_recognize_malformed_series_exits_2(text, capsys, tmp_path):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same k3series as this process, installed or not
+    import k3series
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(k3series.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
         [sys.executable, "-m", "k3series", "table", "--kind", "r",
          "--gmax", "0", "--hmax", "1", "--format", "csv"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "0,1,24" in proc.stdout

@@ -22,9 +22,12 @@ import pytest
 
 from k3series.kkv import (
     _bernoulli_eisenstein,
+    _inner_coeff,
     bps_r_table,
+    hodge_r_series,
     inv_discriminant_q,
     inv_discriminant_yq,
+    u_slice,
 )
 from k3series.modforms import discriminant_q, discriminant_yq, eisenstein
 from k3series.series import (
@@ -547,6 +550,50 @@ def test_trig_substitute_window():
     assert got.window() == (0, 0) and got.coeffs == [1]
     assert sin_half_square(0).window() == (1, 0)
     assert sin_half_square(1).window() == (2, 1)
+
+
+def test_u_slice_window():
+    # u_slice keeps the outer window; an inner exponent past a row's certified
+    # q-order raises, and a scalar row c is exactly c q^0 at every q-exponent
+    rng = random.Random(48)
+    for _ in range(20):
+        val = rng.randint(-2, 2)
+        rows = [random_q_series(rng, -1, 12, order=12)]
+        rows += [random_q_series(rng, -1, 12, order=12) if rng.random() < 0.7
+                 else random_rational(rng) for _ in range(rng.randint(0, 6))]
+        long = Series("u", val, rows, val + len(rows) - 1)
+        m, t = rng.randint(0, 11), rng.randint(val, long.order)
+        short = Series("u", val, [c.truncate(m) if isinstance(c, Series) else c
+                                  for c in rows[:t - val + 1]], t)
+        for q in range(-2, m + 1):
+            sl = u_slice(short, q)
+            check_long_short(u_slice(long, q), sl, (sl.min_exp, t))
+            assert sl.min_exp >= val
+        with pytest.raises(PrecisionError):
+            u_slice(short, m + 1)
+        for j, c in enumerate(short.coeffs, val):
+            if not isinstance(c, Series):
+                assert _inner_coeff(short, j, 0) == c
+                assert _inner_coeff(short, j, 40) == 0
+    # the Hodge series: a short q_order agrees with a long one on its window
+    long, short = hodge_r_series(10, 12), hodge_r_series(6, 3)
+    inner = min(c.order for c in short.coeffs if isinstance(c, Series))
+    assert inner >= 3
+    for q in range(-1, inner + 1):
+        sl = u_slice(short, q)
+        check_long_short(u_slice(long, q), sl, (sl.min_exp, short.order))
+    with pytest.raises(PrecisionError):
+        u_slice(short, inner + 1)
+
+
+@pytest.mark.xfail(strict=True, reason="an exact scalar zero times an inner q-series keeps "
+                   "that series' inner window (Series.__mul__ and Series.scale)")
+def test_nested_product_scalar_zero_keeps_no_inner_window():
+    a, d = (Series("q", 0, [Fraction(k + s) for k in range(11)], 10) for s in (1, 2))
+    c = Series("q", 0, [Fraction(k + 3) for k in range(4)], 3)
+    prod = Series("u", 0, [d, 0], 1) * Series("u", 0, [c, a], 1)
+    # u^1 is d*a + 0*c: d*a is certified to q^10 and 0*c is exactly zero
+    assert prod.coeff(1).order == 10
 
 
 # -- coefficient rings --------------------------------------------------------

@@ -89,6 +89,21 @@ def test_hodge_h0_row_is_inverse_sine_square():
         assert R.value(g, 0) == inv.coeff(2 * g - 2)
 
 
+@pytest.mark.parametrize("g_max, h_max", [(0, 0), (1, 3), (3, 1), (4, 4), (6, 2)])
+def test_point_series_gw_k0_equals_hodge_table(g_max, h_max):
+    # the margin bivariate of point_series_gw and the exact-size Hodge series
+    # give the same (g, h) entries
+    assert point_series_gw(0, g_max, h_max)[1].entries == hodge_r_table(g_max, h_max).entries
+
+
+def test_audit_rows_below_outer_floor_are_zero():
+    # for g < k the u^{2g-2} row lies below the floor u^{2k-2} of the k-point
+    # series, an exact scalar zero, and is recognized as the zero element
+    rows = {(k, g): elem for k, g, elem in quasimodularity_audit(2, 3)}
+    assert len(rows) == 12
+    assert sorted(kg for kg, elem in rows.items() if elem.is_zero()) == [(1, 0), (2, 0), (2, 1)]
+
+
 def test_hodge_series_odd_rows_vanish():
     biv = hodge_r_series(8, 4)
     for odd in (-1, 1, 3, 5, 7):
