@@ -267,7 +267,8 @@ def _run_recognize(args):
             text = fh.read()
     f = series_from_text(text)
     if args.delta_pole:
-        f = f * discriminant_q(f.order + 2)
+        # a header-only file of order <= -2 reaches no Delta coefficient; it stays too short
+        f = f * discriminant_q(max(f.order + 2, 1))
     elem = qmod_recognize(f, args.weight_max)
     _emit(qmod_to_text(elem) if elem.terms else "0\n", args.output)
     return 0

@@ -173,7 +173,8 @@ def bps_r_table(g_max, h_max):
 
 def _bernoulli_eisenstein(u_order, q_order):
     """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order."""
-    coeffs = [abs(bernoulli(j)) / (j // 2 * factorial(j)) * eisenstein(j, q_order)
+    w = {j: abs(bernoulli(j)) / (j // 2 * factorial(j)) for j in range(2, u_order + 1, 2)}
+    coeffs = [Series("q", 0, [w[j] * c for c in eisenstein(j, q_order).coeffs], q_order)
               if j % 2 == 0 else Fraction(0) for j in range(2, u_order + 1)]
     # below u_order 2 the window is empty: [u_order + 1, u_order]
     return Series("u", min(2, u_order + 1), coeffs, u_order)

@@ -338,10 +338,10 @@ def qmod_recognize(f, max_weight):
     """
     if f.var != "q":
         raise ValueError("recognition expects a q-series")
-    if f.min_exp < 0:
+    if f.coeffs and f.min_exp < 0:
         raise ValueError("series has a pole; multiply by the discriminant first")
     basis = weight_basis(max_weight)
-    n_rows = f.order + 1
+    n_rows = max(f.order + 1, 0)
     if n_rows < len(basis) + 5:
         raise InsufficientPrecision(
             f"need at least {len(basis) + 5} certified coefficients, have {n_rows}")

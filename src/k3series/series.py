@@ -9,9 +9,12 @@ coefficient-wise equality on the common certified window.
 
 Coefficients may be int/Fraction, YLaurent, or another Series (for bivariate
 work an outer u-series holds q-series coefficients).  All operations stay
-exact; no floats anywhere.  A YLaurent is a dense list of int numerators over
-one common denominator, and a product of two series with rational
-coefficients is fraction-free: one int convolution over cleared denominators.
+exact; no floats anywhere.  The kernels run over int rows: a YLaurent is a
+dense list of int numerators over one denominator, and the same layout with
+a window holds a rational q-series, so a scalar product is one convolution,
+series_inv is one int recurrence, and a nested series runs its product,
+inverse, exp and log over rows (where an exact scalar zero imposes no inner
+window), converted back once per call.
 """
 
 from __future__ import annotations
@@ -29,23 +32,12 @@ def _is_exact_zero(c):
     if isinstance(c, Series):
         return False
     if isinstance(c, YLaurent):
-        return not c.nums
+        return not c.nums and c.hi is None
     return c == 0
 
 
 def _is_scalar(c):
     return isinstance(c, (int, Fraction))
-
-
-def _inv_coeff(c):
-    """Multiplicative inverse of a unit coefficient."""
-    if isinstance(c, Series):
-        return series_inv(c)
-    if isinstance(c, YLaurent):
-        return c.inverse_unit()
-    if c == 0:
-        raise ZeroDivisionError("leading coefficient is zero")
-    return Fraction(1) / c
 
 
 class YLaurent:
@@ -58,14 +50,20 @@ class YLaurent:
     equality compares fields, and a product is one int convolution.
     Supports the ring ops, the involution y -> 1/y, and the sign
     substitution y -> -y; `terms` is the read-only view exponent -> Fraction.
+
+    The same layout is the row of nested series (see _rowwise): a row from
+    a q-series is certified only through var^hi (zeros up to hi implied; an
+    empty row has lo = hi + 1), products and sums follow Series' window
+    rules, and its inverse_unit is the series inverse.  Polynomials and
+    scalars have hi None: exact, so they cap no window.
     """
 
-    __slots__ = ("lo", "nums", "den")
+    __slots__ = ("lo", "nums", "den", "hi")
 
     def __init__(self, terms=None):
         vals = {k: Fraction(v) for k, v in terms.items()} if terms else {}
         vals = {k: v for k, v in vals.items() if v}
-        self.lo, self.nums, self.den = 0, [], 1
+        self.lo, self.nums, self.den, self.hi = 0, [], 1, None
         if vals:
             # over the lcm of reduced denominators the numerators share no factor
             self.lo = min(vals)
@@ -73,16 +71,17 @@ class YLaurent:
             self.nums, self.den = _cleared(dense)
 
     @classmethod
-    def _normalized(cls, lo, nums, den):
-        """The polynomial sum nums[i] y^(lo+i) / den, trimmed and in lowest terms."""
+    def _normalized(cls, lo, nums, den, hi=None):
+        """sum nums[i] y^(lo+i) / den (certified through y^hi), trimmed, in lowest terms."""
         i, j = 0, len(nums)
         while i < j and not nums[i]:
             i += 1
         while j > i and not nums[j - 1]:
             j -= 1
         out = object.__new__(cls)
+        out.hi = hi
         if i == j:
-            out.lo, out.nums, out.den = 0, [], 1
+            out.lo, out.nums, out.den = 0 if hi is None else hi + 1, [], 1
             return out
         if i or j < len(nums):
             nums = nums[i:j]
@@ -135,6 +134,16 @@ class YLaurent:
         return Fraction(sum(self.nums), self.den)
 
     def inverse_unit(self):
+        if self.hi is not None:
+            # a row: den C_k / x_0^(k+1) over the common denominator x_0^n
+            if not self.nums:
+                raise ValueError("cannot invert a series with an empty window")
+            n = self.hi - self.lo + 1
+            x = self.nums + [0] * (n - len(self.nums))
+            nums = [self.den * c * x[0] ** (n - 1 - k) for k, c in enumerate(_inv_ints(x))]
+            d = x[0] ** n
+            return YLaurent._normalized(-self.lo, nums if d > 0 else [-v for v in nums], abs(d),
+                                        self.hi - 2 * self.lo)
         if len(self.nums) != 1:
             raise ValueError("only monomials are invertible in YLaurent")
         n = self.nums[0]
@@ -144,25 +153,26 @@ class YLaurent:
         return bool(self.nums)
 
     def __neg__(self):
-        return YLaurent._normalized(self.lo, [-x for x in self.nums], self.den)
+        return YLaurent._normalized(self.lo, [-x for x in self.nums], self.den, self.hi)
 
     def __add__(self, other):
         if _is_scalar(other):
             other = YLaurent({0: other})
         if not isinstance(other, YLaurent):
             return NotImplemented
-        if not other.nums:
+        if not other.nums and other.hi is None:
             return self
-        if not self.nums:
+        if not self.nums and self.hi is None:
             return other
-        den = lcm(self.den, other.den)
-        lo = min(self.lo, other.lo)
-        out = [0] * (max(self.max_exp(), other.max_exp()) - lo + 1)
+        den, lo = lcm(self.den, other.den), min(self.lo, other.lo)
+        hi = other.hi if self.hi is None else self.hi if other.hi is None else min(self.hi, other.hi)
+        n = max(self.lo + len(self.nums), other.lo + len(other.nums)) - lo
+        out = [0] * (n if hi is None else min(n, hi - lo + 1))
         for p in (self, other):
-            f = den // p.den
-            for i, x in enumerate(p.nums, p.lo - lo):
+            f, off = den // p.den, p.lo - lo
+            for i, x in enumerate(p.nums if hi is None else p.nums[:max(len(out) - off, 0)], off):
                 out[i] += x * f
-        return YLaurent._normalized(lo, out, den)
+        return YLaurent._normalized(lo, out, den, hi)
 
     __radd__ = __add__
 
@@ -174,18 +184,18 @@ class YLaurent:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return YLaurent._normalized(
-                self.lo, [x * other.numerator for x in self.nums], self.den * other.denominator)
+            return YLaurent._normalized(self.lo, [x * other.numerator for x in self.nums],
+                                        self.den * other.denominator, self.hi if other else None)
         if not isinstance(other, YLaurent):
             return NotImplemented
-        a, b = self.nums, other.nums
-        if not a or not b:
+        a, b, lo = self.nums, other.nums, self.lo + other.lo
+        if (not a and self.hi is None) or (not b and other.hi is None):
             return YLaurent()
-        # out[k] = sum_i a[i] b[k-i], each one sum over a slice of a and reversed b
-        la, lb, rb = len(a), len(b), b[::-1]
-        out = [sum(map(mul, a[max(0, k - lb + 1):k + 1], rb[max(lb - 1 - k, 0):lb + la - 1 - k]))
-               for k in range(la + lb - 1)]
-        return YLaurent._normalized(self.lo + other.lo, out, self.den * other.den)
+        hi = None if self.hi is other.hi is None else min(
+            h + m for h, m in ((self.hi, other.lo), (other.hi, self.lo)) if h is not None)
+        n = len(a) + len(b) - 1
+        out = _conv(a, b, n if hi is None else min(n, hi - lo + 1))
+        return YLaurent._normalized(lo, out, self.den * other.den, hi)
 
     __rmul__ = __mul__
 
@@ -206,7 +216,7 @@ class YLaurent:
             other = YLaurent({0: other})
         if not isinstance(other, YLaurent):
             return NotImplemented
-        return (self.lo, self.den, self.nums) == (other.lo, other.den, other.nums)
+        return (self.lo, self.den, self.nums, self.hi) == (other.lo, other.den, other.nums, other.hi)
 
     def __repr__(self):
         if not self.nums:
@@ -276,7 +286,9 @@ class Series:
         return Series(self.var, self.min_exp, self.coeffs[: order - self.min_exp + 1], order)
 
     def scale(self, c):
-        """Multiply every coefficient by a fixed ring element."""
+        """Multiply every coefficient by a fixed ring element (exact zero: exact zeros)."""
+        if _is_scalar(c) and c == 0:
+            return Series.zero(self.var, self.order, self.min_exp)
         return Series(self.var, self.min_exp, [c * a for a in self.coeffs], self.order)
 
     def _check_var(self, other):
@@ -315,34 +327,17 @@ class Series:
         """Product, certified from a.min_exp + b.min_exp through
         min(a.order + b.min_exp, b.order + a.min_exp).
 
-        When every coefficient of both factors is an int or a Fraction the
-        product is fraction-free: each factor's denominators are cleared by
-        one lcm, the int lists are convolved, and each output coefficient is
-        one Fraction(s, da * db).  YLaurent and nested-Series coefficients
-        run the generic loop.  A non-series factor scales every coefficient.
+        Rational factors are fraction-free: one int convolution of the two
+        cleared rows.  Nested factors (scalar and q-series coefficients) run
+        the coefficient loop over rows, where an exact scalar zero imposes no
+        inner window; YLaurent coefficients run it as they are.  A non-series
+        factor scales every coefficient.
         """
         if isinstance(other, Series) and other.var == self.var:
             a, b = self, other
-            lo = a.min_exp + b.min_exp
-            hi = min(a.order + b.min_exp, b.order + a.min_exp)
             if all(map(_is_scalar, a.coeffs)) and all(map(_is_scalar, b.coeffs)):
-                n = hi - lo + 1
-                x, da = _cleared(a.coeffs[:n])
-                rev, db = _cleared(b.coeffs[:n][::-1])
-                den = da * db
-                # coefficient lo + k is sum_{i<=k} x[i] y[k-i], and y[k-i] = rev[n-1-k+i]
-                coeffs = [Fraction(sum(map(mul, x[:k + 1], rev[n - 1 - k:])), den)
-                          for k in range(n)]
-                return Series(self.var, lo, coeffs, hi)
-            coeffs = []
-            for k in range(lo, hi + 1):
-                acc = Fraction(0)
-                i0 = max(a.min_exp, k - b.order)
-                i1 = min(a.order, k - b.min_exp)
-                for i in range(i0, i1 + 1):
-                    acc = acc + a.coeffs[i - a.min_exp] * b.coeffs[k - i - b.min_exp]
-                coeffs.append(acc)
-            return Series(self.var, lo, coeffs, hi)
+                return _unrow(_row(a) * _row(b), self.var)
+            return _generic_mul(a, b)
         if isinstance(other, Series):
             raise ValueError(
                 f"variable mismatch: {self.var} vs {other.var} (use scale())")
@@ -370,12 +365,8 @@ class Series:
         if isinstance(other, Series):
             return self.var == other.var and first_mismatch(self, other) is None
         if _is_scalar(other) or isinstance(other, YLaurent):
-            lo = min(self.min_exp, 0)
-            for k in range(lo, self.order + 1):
-                want = other if k == 0 else Fraction(0)
-                if self.coeff(k) != want:
-                    return False
-            return True
+            const = Series.monomial(self.var, 0, other, max(self.order, 0))
+            return first_mismatch(self, const) is None
         return NotImplemented
 
     def __repr__(self):
@@ -395,22 +386,98 @@ def _cleared(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _conv(a, b, n):
+    """The first n coefficients of the product of two int lists (zero past their ends)."""
+    la, lb, rb = len(a), len(b), b[::-1]
+    return [sum(map(mul, a[max(0, k - lb + 1):k + 1], rb[max(lb - 1 - k, 0):lb + la - 1 - k]))
+            for k in range(n)]
+
+
+def _inv_ints(x):
+    """C_0..C_{n-1} over int with 1/(x_0 + x_1 t + ...) = sum_k C_k t^k / x_0^(k+1).
+
+    C_0 = 1 and C_k = -sum_{j=1..k} x_j x_0^(j-1) C_{k-j}: no division.
+    """
+    n, x0 = len(x), x[0]
+    ry = [xj * x0 ** j for j, xj in enumerate(x[1:])][::-1]  # x_j x_0^(j-1) is ry[n-1-j]
+    c = [1]
+    for k in range(1, n):
+        c.append(-sum(map(mul, ry[n - 1 - k:], c)))
+    return c
+
+
+def _row(c):
+    """A scalar, or a Series of scalars, as one YLaurent row (a window for the Series)."""
+    if isinstance(c, Series):
+        return YLaurent._normalized(c.min_exp, *_cleared(c.coeffs), c.order)
+    return YLaurent._normalized(0, *_cleared([c]))
+
+
+def _unrow(r, var):
+    """A row back as a Fraction (rows without a window) or a var-Series."""
+    if r.hi is None:
+        return r.coeff(0)
+    pad = [Fraction(0)] * (r.hi - r.lo + 1 - len(r.nums))
+    return Series(var, r.lo, [Fraction(x, r.den) for x in r.nums] + pad, r.hi)
+
+
+def _rowwise(kernel):
+    """kernel with the coefficients of nested series arguments as YLaurent rows.
+
+    Applies when some coefficient is a Series and every one is a scalar or a
+    Series of scalars in one variable; the result is converted back once.
+    Otherwise (scalar series, YLaurent coefficients) kernel runs as it is.
+    """
+    def run(*args):
+        var = None
+        for c in (c for s in args for c in s.coeffs):
+            if isinstance(c, Series) and var in (None, c.var) and all(map(_is_scalar, c.coeffs)):
+                var = c.var
+            elif not _is_scalar(c):
+                return kernel(*args)
+        if var is None:
+            return kernel(*args)
+        out = kernel(*[Series(s.var, s.min_exp, list(map(_row, s.coeffs)), s.order)
+                       for s in args])
+        coeffs = [_unrow(c, var) if isinstance(c, YLaurent) else c for c in out.coeffs]
+        return Series(out.var, out.min_exp, coeffs, out.order)
+    return run
+
+
+@_rowwise
+def _generic_mul(a, b):
+    """The coefficient-by-coefficient Series product, over any coefficient ring."""
+    lo = a.min_exp + b.min_exp
+    hi = min(a.order + b.min_exp, b.order + a.min_exp)
+    coeffs = []
+    for k in range(lo, hi + 1):
+        acc = Fraction(0)
+        for i in range(max(a.min_exp, k - b.order), min(a.order, k - b.min_exp) + 1):
+            acc = acc + a.coeffs[i - a.min_exp] * b.coeffs[k - i - b.min_exp]
+        coeffs.append(acc)
+    return Series(a.var, lo, coeffs, hi)
+
+
+@_rowwise
 def series_inv(a):
     """Inverse of a series whose leading coefficient is a unit.
 
     The certified order drops to a.order - 2*a.min_exp, which keeps the
-    window honest for Laurent inputs such as q^-1 + 24 + ...
+    window honest for Laurent inputs such as q^-1 + 24 + ...  Rational input
+    is fraction-free: with a = q^m (x_0 + x_1 q + ...) / D over int, the
+    coefficients are D C_k / x_0^(k+1), C_k from _inv_ints.  Other rings run
+    b_k = -b_0 sum_{j=1..k} a_j b_{k-j}; nested series run it over rows.
     """
     if not a.coeffs:
         raise ValueError("cannot invert a series with an empty window")
     m = a.min_exp
+    if all(map(_is_scalar, a.coeffs)):
+        return _unrow(_row(a).inverse_unit(), a.var)
     lead = a.coeffs[0]
-    if _is_exact_zero(lead):
-        raise ValueError("leading coefficient must be a unit")
-    b0 = _inv_coeff(lead)
-    length = len(a.coeffs)
+    b0 = (lead.inverse_unit() if isinstance(lead, YLaurent) else
+          series_inv(lead) if isinstance(lead, Series) else Fraction(1) / lead)
     out = [b0]
-    for k in range(1, length):
+    for k in range(1, len(a.coeffs)):
         acc = Fraction(0)
         for j in range(1, k + 1):
             acc = acc + a.coeffs[j] * out[k - j]
@@ -418,32 +485,29 @@ def series_inv(a):
     return Series(a.var, -m, out, a.order - 2 * m)
 
 
+@_rowwise
 def series_exp(a):
     """exp of a series with min_exp >= 1; result certified to a.order.
 
     With e = exp(a), var d/dvar e = e * var d/dvar a gives the recurrence
     k e_k = sum_{j=1..k} j a_j e_{k-j}: O(order^2) coefficient products and
-    no Series product.  Coefficients may be scalars or nested series.
+    no Series product.  Coefficients may be scalars or nested series, which
+    run over rows: no inner q-Series is built per term.
     """
     if a.min_exp < 1:
         raise ValueError("series_exp needs positive valuation")
-    order = a.order
-    d = [None] + [j * a.coeff(j) for j in range(1, order + 1)]
-    return Series(a.var, 0, _exp_recurrence(d, order, Fraction(1)), order)
+    d = [None] + [j * a.coeff(j) for j in range(1, a.order + 1)]
+    return Series(a.var, 0, _exp_recurrence(d, a.order, Fraction(1)), a.order)
 
 
+@_rowwise
 def series_log(a):
     """log of a series whose constant term is exactly the scalar 1.
 
     With l = log(a), var d/dvar a = a * var d/dvar l gives the recurrence
     k l_k = k a_k - sum_{j=1..k-1} j l_j a_{k-j}: O(order^2) coefficient
-    products and no Series product.
+    products and no Series product; nested series run over rows.
     """
-    if a.min_exp > 0:
-        raise ValueError("series_log needs constant term 1")
-    lead = a.coeff(0)
-    if not (_is_scalar(lead) and lead == 1 and a.min_exp == 0):
-        raise ValueError("series_log needs an exact scalar 1 constant term")
     eps = a - 1
     if eps.coeffs and eps.min_exp < 1:
         raise ValueError("series_log needs an exact scalar 1 constant term")
@@ -507,7 +571,7 @@ def _exp_recurrence(d, n, one):
     Runs m p_m = sum_{j=1..m} d_j p_{m-j}, O(n^2) coefficient products; d[0]
     is ignored and exact-zero d_j are skipped.  Over int the division by m
     is exact (a remainder is an AssertionError); any other ring (Fraction,
-    YLaurent, nested Series) multiplies by Fraction(1, m).
+    YLaurent and its rows) multiplies by Fraction(1, m).
     """
     support = [j for j in range(1, n + 1) if not _is_exact_zero(d[j])]
     zero = one * 0  # in the ring of `one`, so a sum with no terms keeps its type

@@ -190,6 +190,16 @@ def test_recognize_delta_pole(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", [-1, -2, -5])
+@pytest.mark.parametrize("flags", [[], ["--delta-pole"]])
+def test_recognize_header_only_exits_5(order, flags, capsys, tmp_path):
+    # no coefficients at all: too few certified coefficients, never a pole
+    path = tmp_path / "empty.txt"
+    path.write_text(f"var=q order={order}\n")
+    assert main(["recognize", str(path), "--weight-max", "12"] + flags) == 5
+    assert "insufficient precision" in capsys.readouterr().err
+
+
 def test_vertex_subcommand(capsys):
     code, out = run_cli(capsys, "vertex", "--mu", "2,1", "--excess", "1",
                         "--format", "json")

@@ -185,9 +185,28 @@ def test_exp_requires_positive_valuation():
 
 
 def test_log_requires_unit_constant_term():
-    a = Series("q", 0, [Fraction(2), Fraction(1)], 1)
-    with pytest.raises(ValueError):
-        series_log(a)
+    one_q = Series("q", 0, [Fraction(1), Fraction(0)], 1)
+    for a in (Series("q", 0, [Fraction(2), Fraction(1)], 1),
+              Series("q", 1, [Fraction(1)], 1),
+              Series("q", -1, [Fraction(1), Fraction(1)], 0),
+              Series("u", 0, [one_q, one_q], 1)):  # a q-series lead is not the scalar 1
+        with pytest.raises(ValueError):
+            series_log(a)
+
+
+def test_equality_with_a_constant():
+    # c is exact: the series must equal c at q^0 and vanish elsewhere on its window
+    assert Series("q", 0, [Fraction(3), Fraction(0)], 1) == 3
+    assert Series("q", -2, [], -3) == 5  # certified below q^0 only, where it is zero
+    assert Series("q", 1, [Fraction(0)], 1) == 0
+    for a, c in ((Series("q", 0, [Fraction(3), Fraction(0)], 1), 2),
+                 (Series("q", 0, [Fraction(3), Fraction(1)], 1), 3),
+                 (Series("q", -1, [Fraction(1), Fraction(3)], 0), 3),
+                 (Series("q", 1, [Fraction(1)], 1), 0)):
+        assert a != c
+    row = YLaurent({1: 2, -1: 2})
+    assert Series("q", 0, [row, YLaurent()], 1) == row
+    assert Series("q", 0, [row, YLaurent()], 1) != row * 2
 
 
 def test_inv_of_zero_lead_raises():
