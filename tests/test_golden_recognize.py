@@ -4,6 +4,7 @@ Every case feeds one series file to `cli.main(["recognize", "-", ...])` on
 stdin and hashes f"exit={code}\\n{stdout}\\x00{stderr}".  The corpus covers
 accepted elements at weights 12/16/20 on windows of dim+5..dim+9, one-
 coefficient perturbations (exit 4), windows of dim+3/dim+4 (exit 5),
+a sparse weight-24 element (dim 102) on dim+5 and its perturbation,
 `--delta-pole` inputs, random rational series, `--weight-max 0`, and
 malformed files (exit 2).  The inputs are built here from integer
 q-expansions that share no code with the package, so the corpus does not
@@ -142,6 +143,14 @@ def corpus():
         n = len(weight_basis(weight)) + rng.randint(5, 12)
         coeffs = [_rational(rng) for _ in range(n)]
         cases[f"random_{i}_w{weight}"] = (text(0, coeffs), ["--weight-max", str(weight)])
+    # weight 24 (dim 102) with a handful of monomials, so expand() stays cheap
+    basis = weight_basis(24)
+    top = [key for key in basis if 2 * key[0] + 4 * key[1] + 6 * key[2] == 24]
+    keys = rng.sample(top, 2) + rng.sample(basis, 3)
+    coeffs = expand({key: _rational(rng) or Fraction(1) for key in keys}, len(basis) + 4)
+    cases["w24_sparse_dim+5"] = (text(0, coeffs), ["--weight-max", "24"])
+    coeffs[rng.randrange(1, len(coeffs))] += 1
+    cases["w24_sparse_dim+5_perturbed"] = (text(0, coeffs), ["--weight-max", "24"])
     zero = ["--weight-max", "0"]
     cases["wmax0_constant"] = (text(0, [Fraction(3, 2)] + [0] * 7), zero)
     cases["wmax0_zero"] = (text(0, [0] * 8), zero)
