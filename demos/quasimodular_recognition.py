@@ -3,7 +3,8 @@
 Multiplying any u-row of the point-inserted curve-count series by the
 discriminant produces a quasimodular form whose weight is bounded by
 2g + 2k.  Recognition solves an exact linear system over the rationals
-and re-verifies the expansion, so a printed element is a proof.
+and accepts a solution only when it matches every coefficient of the
+window, so a printed element is a proof.
 """
 
 from __future__ import annotations

@@ -601,7 +601,8 @@ def quasimodularity_audit(k_max, g_max):
     """Recognize Delta(q) times every u-row of the k-point GW series.
 
     Returns rows (k, g, element); recognition enforces weight <= 2g + 2k
-    and re-verifies on the window, so success certifies quasimodularity.
+    and accepts only an exact match on the window, so success certifies
+    quasimodularity.
     """
     w_max = 2 * g_max + 2 * k_max
     dim = len(modforms.weight_basis(w_max))

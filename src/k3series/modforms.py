@@ -2,23 +2,34 @@
 
 Quasimodular elements are stored exactly as polynomials in the three
 generators; qmod_expand turns them into certified q-series.  qmod_recognize
-solves the inverse problem: integer monomial columns built incrementally,
-fraction-free (Bareiss) elimination, and re-verification on the full window,
-so a recognized element is a proof of the identity on the supplied window.
+solves the inverse problem: integer monomial columns built incrementally, one
+elimination modulo a 61-bit prime, and Dixon (p-adic) lifting with rational
+reconstruction.  A solution is accepted only when it holds exactly on the full
+window, so a recognized element is a proof of the identity there; a rejection
+is proved by a minor that is nonzero mod p, or by the unique solution failing
+the window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt, prod
 from operator import mul
 
 from .series import Series, YLaurent, _cleared, _exp_recurrence, parse_rational, weighted_product
 
 
 class NotQuasimodular(Exception):
-    """No element of the allowed weight matches the series on its window."""
+    """No element of the allowed weight matches the series on its window.
+
+    From _solve_exact, rows holds the witness: dim + 1 row indices on which
+    the cleared system [A | b] has a nonzero minor.
+    """
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class InsufficientPrecision(Exception):
@@ -235,13 +246,6 @@ class QModElement:
         return "QModElement(" + ", ".join(bits) + ")"
 
 
-def _exact_div(num, den):
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("integer division is not exact")
-    return q
-
-
 @lru_cache(maxsize=None)
 def _monomial_coeffs(a, b, c, order):
     """q^0..q^order of E2^a E4^b E6^c as ints, built incrementally.
@@ -255,7 +259,9 @@ def _monomial_coeffs(a, b, c, order):
         return (1,) + (0,) * order
     key, weight = ((a, b, c - 1), 6) if c else ((a, b - 1, c), 4) if b else ((a - 1, b, c), 2)
     prev = _monomial_coeffs(*key, order)
-    gen = [_exact_div(x.numerator, x.denominator) for x in _eisenstein_coeffs(weight, order)]
+    gen = _eisenstein_coeffs(weight, order)
+    assert all(x.denominator == 1 for x in gen)
+    gen = [x.numerator for x in gen]
     return tuple(sum(map(mul, prev[k::-1], gen[:k + 1])) for k in range(order + 1))
 
 
@@ -299,42 +305,161 @@ def weight_basis(max_weight):
     return out
 
 
+# 61-bit primes, tried in order; a prime that fakes a rank deficit is skipped
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
+def _eliminate(aug, n_cols, p):
+    """Gaussian elimination of the int rows aug modulo p, column by column.
+
+    Each row is packed into one int, one entry per slot, so a row operation is
+    one multiply-add.  Entries stay nonnegative: a row gains (p - f) times the
+    pivot row, whose entries are reduced, then drops its lowest slot (that
+    step's column), so no slot reaches (n_cols + 1) p^2 and nothing carries.
+    Returns (piv, low, pivots, rest): the pivot row of each column up to the
+    first column with no pivot mod p (so len(piv) is that column); each row's
+    multipliers, one per step it was reduced at and, for a pivot row, then the
+    inverse of its pivot; each pivot row's entries from its column on, scaled
+    to 1 there and reduced; and the packed rest of every other row, which after
+    the last column is its eliminated rhs entry.
+    """
+    size = -(-((n_cols + 1) * p * p).bit_length() // 8)
+    bits, mask = 8 * size, (1 << 8 * size) - 1
+
+    def pack(vals):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vals), "little")
+
+    rest = {i: pack([v % p for v in row]) for i, row in enumerate(aug)}
+    piv, low, pivots = [], [[] for _ in aug], {}
+    for k in range(n_cols):
+        pr = next((i for i, r in rest.items() if (r & mask) % p), None)
+        if pr is None:
+            break
+        raw = rest.pop(pr).to_bytes((n_cols + 1 - k) * size, "little")
+        row = [int.from_bytes(raw[c:c + size], "little") % p for c in range(0, len(raw), size)]
+        inv = pow(row[0], -1, p)
+        pivots[pr] = row = [v * inv % p for v in row]
+        low[pr].append(inv)
+        packed = pack(row)
+        for i, r in rest.items():
+            f = (r & mask) % p
+            low[i].append(f)
+            rest[i] = (r + (p - f) * packed if f else r) >> bits
+        piv.append(pr)
+    return piv, low, pivots, rest
+
+
+def _reconstruct(residues, m):
+    """Integers (X, d) with X_i / d = the rational of residue i mod m, or None.
+
+    Wang's rational reconstruction with numerator and denominator at most
+    isqrt((m - 1) // 2), the denominators accumulated into d as it goes: a
+    residue times the common denominator so far comes back as an integer at
+    once when it is one.
+    """
+    bound = isqrt((m - 1) // 2)
+    parts, d = [], 1
+    for u in residues:
+        r0, r1, t0, t1 = m, u * d % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if d * t1 > bound or gcd(t1, m) != 1:
+            return None
+        parts.append((r1, d * t1))
+        d *= t1
+    return [a * (d // b) for a, b in parts], d
+
+
+def _lift(aug, piv, low, pivots, t, p):
+    """Dixon lifting: solve for column t of aug in terms of its first r columns.
+
+    The subsystem is the r x r block on the pivot rows, r = len(piv), which is
+    nonsingular mod p.  Lifting step 1 back-substitutes the already eliminated
+    column t; later steps replay the recorded row operations on the residual.
+    Returns (bad, X, d): bad is None when aug[i][:r] . X == d * aug[i][t] on
+    every row, else the first row that the unique subsystem solution X / d
+    fails.  Once p^k exceeds 2 H^2, H the Hadamard bound of the subsystem with
+    its rhs, reconstruction returns that solution, so a failing candidate
+    proves that no solution exists.
+    """
+    r = len(piv)
+    sub = [aug[i][:r] for i in piv]
+    res = [aug[i][t] for i in piv]
+    bound = 2 * prod(max(1, sum(v * v for v in col)) for col in [*zip(*sub), res])
+    f_rows = [low[i] for i in piv]
+    u_rows = [pivots[i][1:r - m] for m, i in enumerate(piv)]
+
+    def back(z):
+        y = [0] * r
+        for k in range(r - 1, -1, -1):
+            y[k] = (z[k] - sum(map(mul, u_rows[k], y[k + 1:]))) % p
+        return y
+
+    y, acc, mod = back([pivots[i][t - m] for m, i in enumerate(piv)]), [0] * r, 1
+    while True:
+        acc = [a + mod * v for a, v in zip(acc, y)]
+        mod *= p
+        cand = _reconstruct(acc, mod)
+        if cand:
+            x, d = cand
+            bad = next((i for i, row in enumerate(aug) if sum(map(mul, row, x)) != d * row[t]),
+                       None)
+            if bad is None or mod > bound:
+                return bad, x, d
+        elif mod > bound:
+            raise AssertionError("rational reconstruction failed past the Hadamard bound")
+        res = [(v - sum(map(mul, row, y))) // p for v, row in zip(res, sub)]
+        z = []
+        for m in range(r):
+            z.append((res[m] - sum(map(mul, f_rows[m], z))) * f_rows[m][m] % p)
+        y = back(z)
+
+
 def _solve_exact(columns, rhs, n_rows):
     """Solve columns * x = rhs over int, x as Fractions; each has n_rows entries.
 
-    One LCM clears the rhs denominators.  Fraction-free (Bareiss) elimination
-    pivots on the first row at or below the diagonal nonzero in the column; its
-    entries are nonzero multiples of Gauss's, so no pivot is InsufficientPrecision
-    and a nonzero rhs below the pivots NotQuasimodular.  Back-substitution: det*x.
+    One LCM clears the rhs, and [A | b] is eliminated once modulo a 61-bit
+    prime p.  A nonzero minor mod p is a nonzero integer minor, so:
+    - a column with no pivot mod p is solved for in terms of the earlier ones;
+      a kernel vector that holds exactly over int is InsufficientPrecision, and
+      one that fails marks p as bad, so the next prime is tried;
+    - a nonzero rhs below the pivots is NotQuasimodular, its rows the witness;
+    - otherwise Dixon lifting on the pivot rows returns the first candidate
+      that satisfies every one of the n_rows equations exactly.  That
+      acceptance check is the certificate: a returned x solves the whole
+      window, and past the Hadamard bound a failing candidate proves that
+      nothing does (NotQuasimodular, witnessed by the pivot rows and the
+      failing row).
     """
-    n_cols, det = len(columns), 1
+    n_cols = len(columns)
     nums, den = _cleared(rhs)
-    aug = [[*row, v] for *row, v in zip(*columns, nums)]
-    for k in range(n_cols):
-        piv = next((r for r in range(k, n_rows) if aug[r][k]), None)
-        if piv is None:
-            raise InsufficientPrecision("window too short to separate basis monomials")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        rk = aug[k]
-        for ri in aug[k + 1:]:
-            ri[k + 1:] = [_exact_div(rk[k] * x - ri[k] * y, det)
-                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
-        det = rk[k]
-    if any(row[n_cols] for row in aug[n_cols:]):
-        raise NotQuasimodular("series is not quasimodular of the allowed weight")
-    x = [0] * n_cols
-    for k, rk in reversed(list(enumerate(aug[:n_cols]))):
-        x[k] = _exact_div(det * rk[n_cols] - sum(map(mul, rk[k + 1:n_cols], x[k + 1:])), rk[k])
-    return [Fraction(v, det * den) for v in x]
+    aug = [(*row, v) for *row, v in zip(*columns, nums)]
+    for p in _PRIMES:
+        piv, low, pivots, rest = _eliminate(aug, n_cols, p)
+        if len(piv) < n_cols:
+            if _lift(aug, piv, low, pivots, len(piv), p)[0] is None:
+                raise InsufficientPrecision("window too short to separate basis monomials")
+            continue
+        bad = next((i for i, r in rest.items() if r % p), None)
+        if bad is None:
+            bad, x, d = _lift(aug, piv, low, pivots, n_cols, p)
+            if bad is None:
+                return [Fraction(v, d * den) for v in x]
+        raise NotQuasimodular("series is not quasimodular of the allowed weight",
+                              sorted(piv + [bad]))
+    raise AssertionError("no prime certified the rank of the recognition system")
 
 
 def qmod_recognize(f, max_weight):
     """Find the element of weight <= max_weight whose expansion equals f.
 
     f must be a q-series with min_exp >= 0 and a window of at least
-    dim(basis) + 5 coefficients.  The integer columns and fraction-free
-    elimination give a candidate; it is re-verified by expanding it on the
-    full window before returning, so the answer is a certificate.
+    dim(basis) + 5 coefficients.  _solve_exact accepts a solution only when it
+    matches every coefficient of the window exactly, which is the statement
+    qmod_expand(elem, f.order) == f, so the answer is a certificate.
     """
     if f.var != "q":
         raise ValueError("recognition expects a q-series")
@@ -347,10 +472,7 @@ def qmod_recognize(f, max_weight):
             f"need at least {len(basis) + 5} certified coefficients, have {n_rows}")
     columns = [_monomial_coeffs(*key, f.order) for key in basis]
     sol = _solve_exact(columns, [f.coeff(k) for k in range(n_rows)], n_rows)
-    elem = QModElement(dict(zip(basis, sol)))
-    if qmod_expand(elem, f.order) != f:
-        raise NotQuasimodular("re-verification failed")
-    return elem
+    return QModElement(dict(zip(basis, sol)))
 
 
 def qmod_to_text(elem):

@@ -3,8 +3,9 @@
 Numeric oracles are frozen table values (divisor sums, tau coefficients)
 rather than recomputations through the library.  Recognition is checked
 as an exact round trip plus both failure modes; its integer columns against
-Eisenstein products, and its Bareiss solver against the Gauss-Jordan
-elimination over Fraction that it replaced, kept here as the reference.
+Eisenstein products, and its modular solver (elimination mod p, Dixon
+lifting) against a Gauss-Jordan elimination over Fraction kept here as the
+reference, also with small primes that make bad primes happen.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from k3series.modforms import (
     qmod_to_text,
     weight_basis,
 )
+from k3series import modforms
 from k3series.modforms import _monomial_coeffs, _solve_exact
 
 
@@ -174,10 +176,10 @@ def test_ramanujan_derivation_rules():
     assert qmod_derive(e6) == (e2 * e6 - e4 * e4) * Fraction(1, 2)
 
 
-# -- recognition layer: integer columns and fraction-free elimination ---------
+# -- recognition layer: integer columns and the modular solver ---------------
 
 def gauss_jordan_reference(columns, rhs, n_rows):
-    """Gauss-Jordan elimination over Fraction, the solver Bareiss replaced."""
+    """Gauss-Jordan elimination over Fraction, the reference for _solve_exact."""
     n_cols = len(columns)
     aug = [[columns[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
     pivots = []
@@ -292,6 +294,123 @@ def test_solve_exact_matches_gauss_jordan_on_recognition_columns():
     assert seen == {"solution", InsufficientPrecision, NotQuasimodular}
 
 
+# primes small enough that rank deficits and consistency that hold only mod p happen
+SMALL_PRIMES = (2, 3, 2**61 - 1)
+KINDS = ["consistent", "inconsistent", "duplicate", "combination", "mixed", "zero"]
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first 13 prime bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_tuple_holds_primes():
+    assert modforms._PRIMES[0] == 2**61 - 1
+    assert all(is_prime(p) for p in modforms._PRIMES + SMALL_PRIMES)
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5, 7
+    assert not any(is_prime(n) for n in (1, 561, 3215031751, 2**61 - 3))
+
+
+def test_solve_exact_matches_gauss_jordan_with_small_primes(monkeypatch):
+    seen = set()
+    lift = modforms._lift
+
+    def observed(aug, piv, low, pivots, t, p):
+        bad, x, d = lift(aug, piv, low, pivots, t, p)
+        if bad is not None:
+            seen.add("kernel vector fails" if t < len(aug[0]) - 1 else "lifting refutes")
+        return bad, x, d
+
+    monkeypatch.setattr(modforms, "_PRIMES", SMALL_PRIMES)
+    monkeypatch.setattr(modforms, "_lift", observed)
+    for kind in KINDS:
+        test_solve_exact_matches_gauss_jordan(kind)
+    test_solve_exact_matches_gauss_jordan_on_recognition_columns()
+    # a rank deficit mod 2 or 3 that is not one over Q, and a system consistent
+    # mod p but not over Q, both occurred and were caught
+    assert seen == {"kernel vector fails", "lifting refutes"}
+
+
+def fraction_det(matrix):
+    """Determinant of a square matrix by Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv], det = m[piv], m[k], -det
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return det
+
+
+def witness_holds(columns, rhs, rows):
+    """rows are dim + 1 distinct rows on which [A | b] has a nonzero minor."""
+    return (len(rows) == len(columns) + 1 and len(set(rows)) == len(rows)
+            and fraction_det([[col[i] for col in columns] + [rhs[i]] for i in rows]) != 0)
+
+
+def forged_rhs(columns, rhs, rows):
+    """rhs with one witness row swapped for a row of the consistent subsystem on the others."""
+    for w in rows:
+        rest = [i for i in rows if i != w]
+        try:
+            x = gauss_jordan_reference([[col[i] for i in rest] for col in columns],
+                                       [rhs[i] for i in rest], len(rest))
+        except InsufficientPrecision:
+            continue
+        forged = list(rhs)
+        forged[w] = sum((col[w] * v for col, v in zip(columns, x)), Fraction(0))
+        return forged
+    raise AssertionError("no dim rows of the witness are nonsingular")
+
+
+@pytest.mark.parametrize("primes", [None, SMALL_PRIMES])
+def test_not_quasimodular_witness_is_a_nonsingular_minor(monkeypatch, primes):
+    if primes:
+        monkeypatch.setattr(modforms, "_PRIMES", primes)
+    witnessed = 0
+    for kind in ("inconsistent", "mixed"):
+        rng = random.Random(f"witness-{kind}")
+        for trial in range(60):
+            n_cols = rng.randint(0, 8)
+            n_rows = n_cols + rng.choice([1, 3, 6])
+            columns, rhs = random_system(rng, n_rows, n_cols, kind)
+            try:
+                _solve_exact(columns, rhs, n_rows)
+            except NotQuasimodular as exc:
+                assert witness_holds(columns, rhs, exc.rows), (kind, trial)
+                forged = forged_rhs(columns, rhs, exc.rows)
+                assert not witness_holds(columns, forged, exc.rows), (kind, trial)
+                witnessed += 1
+            except InsufficientPrecision:
+                pass
+    assert witnessed >= 40
+
+
 def test_monomial_columns_are_ints_equal_to_eisenstein_products():
     for order in (0, 1, 30):
         e2, e4, e6 = (eisenstein(w, order) for w in (2, 4, 6))
@@ -316,6 +435,21 @@ def test_recognition_runs_without_series_products(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", forbidden)
     monkeypatch.setattr(Series, "__pow__", forbidden)
     assert qmod_recognize(f, 12) == elem
+
+
+def test_recognition_runs_without_re_expansion(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("recognition re-expanded its answer")
+
+    rng = random.Random(10)
+    elem = QModElement({key: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                        for key in weight_basis(12)})
+    f = qmod_expand(elem, len(weight_basis(12)) + 6)
+    bad = Series("q", 0, [f.coeff(j) + (j == 3) for j in range(f.order + 1)], f.order)
+    monkeypatch.setattr(modforms, "qmod_expand", forbidden)
+    assert qmod_recognize(f, 12) == elem
+    with pytest.raises(NotQuasimodular):
+        qmod_recognize(bad, 12)
 
 
 def test_recognize_weight_20():
