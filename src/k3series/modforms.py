@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .series import Series, YLaurent, _cleared, _exp_recurrence, parse_rational, weighted_product
@@ -38,16 +38,26 @@ class InsufficientPrecision(Exception):
 
 @lru_cache(maxsize=None)
 def bernoulli(n):
-    """The Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """The Bernoulli number B_n (B_1 = -1/2 convention).
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) with T_m the tangent number
+    (tan x = sum T_k x^(2k-1) / (2k-1)!), from the integer recurrence of
+    Brent and Harvey: O(m^2) int operations, no Fraction arithmetic.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    # recurrence sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    m = n // 2
+    t = [0, 1]  # t[k] = T_k
+    for k in range(2, m + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Fraction((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
 
 
 @lru_cache(maxsize=None)

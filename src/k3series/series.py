@@ -12,9 +12,10 @@ work an outer u-series holds q-series coefficients).  All operations stay
 exact; no floats anywhere.  The kernels run over int rows: a YLaurent is a
 dense list of int numerators over one denominator, and the same layout with
 a window holds a rational q-series, so a scalar product is one convolution,
-series_inv is one int recurrence, and a nested series runs its product,
-inverse, exp and log over rows (where an exact scalar zero imposes no inner
-window), converted back once per call.
+series_inv, series_exp and series_log run one int recurrence over a running
+common denominator (_running_recurrence), and a nested series runs its
+product, inverse, exp and log over rows (where an exact scalar zero imposes
+no inner window), converted back once per call.
 """
 
 from __future__ import annotations
@@ -135,15 +136,16 @@ class YLaurent:
 
     def inverse_unit(self):
         if self.hi is not None:
-            # a row: den C_k / x_0^(k+1) over the common denominator x_0^n
+            # a row: b_k = -(1/x_0) sum_{j=1..k} x_j b_{k-j}, b_0 = den / x_0
             if not self.nums:
                 raise ValueError("cannot invert a series with an empty window")
             n = self.hi - self.lo + 1
-            x = self.nums + [0] * (n - len(self.nums))
-            nums = [self.den * c * x[0] ** (n - 1 - k) for k, c in enumerate(_inv_ints(x))]
-            d = x[0] ** n
-            return YLaurent._normalized(-self.lo, nums if d > 0 else [-v for v in nums], abs(d),
-                                        self.hi - 2 * self.lo)
+            x, den = self.nums + [0] * (n - len(self.nums)), self.den
+            if x[0] < 0:
+                x, den = [-v for v in x], -den
+            g = gcd(den, x[0])
+            nums, d = _running_recurrence(x, [x[0]] * n, (den // g, x[0] // g))
+            return YLaurent._normalized(-self.lo, nums, d, self.hi - 2 * self.lo)
         if len(self.nums) != 1:
             raise ValueError("only monomials are invertible in YLaurent")
         n = self.nums[0]
@@ -393,17 +395,41 @@ def _conv(a, b, n):
             for k in range(n)]
 
 
-def _inv_ints(x):
-    """C_0..C_{n-1} over int with 1/(x_0 + x_1 t + ...) = sum_k C_k t^k / x_0^(k+1).
+def _running_recurrence(w, div, first, top=None):
+    """(c, E) with out_k = c[k] / E for k < len(w), E the lcm of their reduced denominators.
 
-    C_0 = 1 and C_k = -sum_{j=1..k} x_j x_0^(j-1) C_{k-j}: no division.
+    out_0 = first[0] / first[1] in lowest terms (first[1] > 0), and
+    out_k = (top[k] - sum_{j=1..k} w[j] out_{k-j}) / div[k] over int, div[k] > 0.
+    Over the running denominator E the step is num / (div[k] E) with num one
+    dot product, and E grows by exactly div[k] / gcd(num, div[k]), so the
+    one gcd per step never involves E.  Only the last m outputs (w[j] = 0
+    past m) are read again: they are rescaled when E grows, older ones once
+    at the end.  No power of a global denominator enters, so the numbers grow
+    only as far as the true denominators do.
     """
-    n, x0 = len(x), x[0]
-    ry = [xj * x0 ** j for j, xj in enumerate(x[1:])][::-1]  # x_j x_0^(j-1) is ry[n-1-j]
-    c = [1]
+    n = len(w)
+    m = max((j for j in range(1, n) if w[j]), default=0)
+    rw = w[m:0:-1]  # w[j] pairs with out_{k-j} in rw[m - len(live):]
+    live, e = [first[0]], first[1]
+    done, grow = [], [1] * n  # out_i leaves live at step i + m + 1, over E_{i+m}
     for k in range(1, n):
-        c.append(-sum(map(mul, ry[n - 1 - k:], c)))
-    return c
+        if len(live) > m:
+            done.append(live.pop(0))
+        num = -sum(map(mul, rw[m - len(live):], live))
+        if top is not None:
+            num += top[k] * e
+        g = gcd(num, div[k])
+        if g != div[k]:
+            f = grow[k] = div[k] // g
+            live = [v * f for v in live]
+            e *= f
+        live.append(num // g)
+    scale = 1  # E / E_t for t = n - 1 down to m
+    for t in range(n - 1, m - 1, -1):
+        if t - m < len(done):
+            done[t - m] *= scale
+        scale *= grow[t]
+    return done + live, e
 
 
 def _row(c):
@@ -464,8 +490,9 @@ def series_inv(a):
 
     The certified order drops to a.order - 2*a.min_exp, which keeps the
     window honest for Laurent inputs such as q^-1 + 24 + ...  Rational input
-    is fraction-free: with a = q^m (x_0 + x_1 q + ...) / D over int, the
-    coefficients are D C_k / x_0^(k+1), C_k from _inv_ints.  Other rings run
+    (and every inner row of a nested series) runs YLaurent.inverse_unit: with
+    a = q^m (x_0 + x_1 q + ...) / D over int, b_k = -(1/x_0) sum_j x_j b_{k-j}
+    over a running common denominator (_running_recurrence).  Other rings run
     b_k = -b_0 sum_{j=1..k} a_j b_{k-j}; nested series run it over rows.
     """
     if not a.coeffs:
@@ -485,18 +512,31 @@ def series_inv(a):
     return Series(a.var, -m, out, a.order - 2 * m)
 
 
+def _padded(r, n):
+    """The numerators of a row at exponents 0..n-1 (r.lo >= 0)."""
+    return ([0] * r.lo + r.nums + [0] * n)[:n]
+
+
 @_rowwise
 def series_exp(a):
     """exp of a series with min_exp >= 1; result certified to a.order.
 
     With e = exp(a), var d/dvar e = e * var d/dvar a gives the recurrence
     k e_k = sum_{j=1..k} j a_j e_{k-j}: O(order^2) coefficient products and
-    no Series product.  Coefficients may be scalars or nested series, which
-    run over rows: no inner q-Series is built per term.
+    no Series product.  Rational input a = x / D runs it over int as
+    e_k = sum_j j x_j e_{k-j} / (k D) with a running common denominator
+    (_running_recurrence).  Nested series run it over rows: no inner
+    q-Series is built per term.
     """
     if a.min_exp < 1:
         raise ValueError("series_exp needs positive valuation")
-    d = [None] + [j * a.coeff(j) for j in range(1, a.order + 1)]
+    n = a.order + 1
+    if all(map(_is_scalar, a.coeffs)):
+        r = _row(a)
+        w = [-j * v for j, v in enumerate(_padded(r, n))]
+        nums, den = _running_recurrence(w, [k * r.den for k in range(n)], (1, 1))
+        return _unrow(YLaurent._normalized(0, nums, den, a.order), a.var)
+    d = [None] + [j * a.coeff(j) for j in range(1, n)]
     return Series(a.var, 0, _exp_recurrence(d, a.order, Fraction(1)), a.order)
 
 
@@ -506,7 +546,9 @@ def series_log(a):
 
     With l = log(a), var d/dvar a = a * var d/dvar l gives the recurrence
     k l_k = k a_k - sum_{j=1..k-1} j l_j a_{k-j}: O(order^2) coefficient
-    products and no Series product; nested series run over rows.
+    products and no Series product.  Rational input a = x / D (x_0 = D) runs
+    b_k = k l_k = (k x_k - sum_j x_j b_{k-j}) / D over int with a running
+    common denominator (_running_recurrence); nested series run over rows.
     """
     eps = a - 1
     if eps.coeffs and eps.min_exp < 1:
@@ -514,6 +556,14 @@ def series_log(a):
     order = a.order
     if not eps.coeffs:
         return Series.zero(a.var, order)
+    if all(map(_is_scalar, a.coeffs)):
+        r = _row(a)
+        x = _padded(r, order + 1)
+        b, den = _running_recurrence(x, [r.den] * (order + 1), (0, 1),
+                                     [k * v for k, v in enumerate(x)])
+        f = lcm(*(k // gcd(v, k) for k, v in enumerate(b) if k))  # l_k = b_k / k over den * f
+        nums = [v * f // k if k else 0 for k, v in enumerate(b)]
+        return _unrow(YLaurent._normalized(0, nums, den * f, order), a.var)
     e = [eps.coeff(k) for k in range(order + 1)]
     # b[k] = k l_k, the coefficients of var d/dvar log(a)
     b = [None]

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from k3series.cli import main
-from k3series.series import series_to_text
+from k3series.series import Series, series_to_text
 from k3series.modforms import eisenstein
 from k3series.kkv import inv_discriminant_q
 
@@ -134,7 +134,6 @@ def test_recognize_eisenstein(capsys, tmp_path):
 
 def test_recognize_not_quasimodular_exit_4(capsys, tmp_path):
     from fractions import Fraction
-    from k3series.series import Series
     path = tmp_path / "bad.txt"
     s = Series("q", 0, [Fraction(1), Fraction(1)] + [Fraction(0)] * 20, 21)
     path.write_text(series_to_text(s))
@@ -145,7 +144,6 @@ def test_recognize_not_quasimodular_exit_4(capsys, tmp_path):
 def test_recognize_exp_q_exit_4(capsys, tmp_path):
     from fractions import Fraction
     from math import factorial
-    from k3series.series import Series
     path = tmp_path / "expq.txt"
     coeffs = [Fraction(1, factorial(n)) for n in range(0, 41)]
     path.write_text(series_to_text(Series("q", 0, coeffs, 40)))
@@ -157,7 +155,6 @@ def test_recognize_weighted_divisor_sum(capsys, tmp_path):
     # sum_n n sigma_1(n) q^n is q d/dq of (1 - E2)/24, so Ramanujan's rule
     # gives exactly (E4 - E2^2)/288
     from fractions import Fraction
-    from k3series.series import Series
     path = tmp_path / "nsigma.txt"
     coeffs = [Fraction(0)] + [
         Fraction(n * sum(d for d in range(1, n + 1) if n % d == 0))
@@ -198,6 +195,17 @@ def test_recognize_header_only_exits_5(order, flags, capsys, tmp_path):
     path.write_text(f"var=q order={order}\n")
     assert main(["recognize", str(path), "--weight-max", "12"] + flags) == 5
     assert "insufficient precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order, code, out", [(40, 0, "0\n"), (20, 5, "")])
+def test_recognize_header_only_is_the_zero_series(order, code, out, capsys, tmp_path):
+    # a header with no exponent lines is the zero series through q^order:
+    # long enough a window recognizes it as 0, a short one is too few coefficients
+    text = f"var=q order={order}\n"
+    assert text == series_to_text(Series.zero("q", order))
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "recognize", str(path), "--weight-max", "12") == (code, out)
 
 
 def test_vertex_subcommand(capsys):

@@ -10,7 +10,10 @@ compare on the short window, and check that one step past it raises.  The
 coefficient-ring tests hold the dense YLaurent, the fraction-free scalar
 Series product and series_inv, and the nested (u, q) row kernels against
 test-local copies of the dict-of-Fraction YLaurent, the Fraction inverse
-recurrence and the generic coefficient loops they replaced.
+recurrence and the generic coefficient loops they replaced.  Rational
+series_inv, series_exp and series_log are held against the per-term
+Fraction loops on inputs whose denominators stay small, grow like k!, or
+grow with the index as log outputs do.
 """
 
 from __future__ import annotations
@@ -300,6 +303,24 @@ def generic_exp(a):
                 acc = acc + d[j] * p[m - j]
         p.append(acc * Fraction(1, m))
     return Series(a.var, 0, p, a.order)
+
+
+def fraction_log(a):
+    """The log recurrence k l_k = k a_k - sum_j j l_j a_{k-j}, one Fraction
+    operation per term: the per-term Fraction loop on rational input."""
+    eps = a - 1
+    order = a.order
+    if not eps.coeffs:
+        return Series.zero(a.var, order)
+    e = [eps.coeff(k) for k in range(order + 1)]
+    b = [None]
+    for k in range(1, order + 1):
+        acc = k * e[k]
+        for j in range(1, k):
+            acc = acc - b[j] * e[k - j]
+        b.append(acc)
+    coeffs = [Fraction(0)] + [b[k] * Fraction(1, k) for k in range(1, order + 1)]
+    return Series(a.var, 0, coeffs, order)
 
 
 def generic_inv(a):
@@ -842,6 +863,77 @@ def test_fraction_free_inverse_matches_fraction_recurrence():
         assert got.window() == want.window() == (-a.min_exp, a.order - 2 * a.min_exp)
         assert got.coeffs == want.coeffs
         assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def unit_series(family, n):
+    """A rational series 1 + ... on the window [0, n - 1] from one input family."""
+    rng = random.Random(70 + n)
+    bench = Series("q", 0, [Fraction(1)] + [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                                            for _ in range(n - 1)], n - 1)
+    if family == "bench":  # denominators <= 3
+        return bench
+    if family == "factorial":  # sum q^k / k!
+        return Series("q", 0, [Fraction(1, factorial(k)) for k in range(n)], n - 1)
+    if family == "sin_half_square":  # S(u)^2 = (2 sin(u/2) / u)^2
+        return Series("u", 0, sin_half_square(n + 1).coeffs, n - 1)
+    return 1 + fraction_log(bench)  # a log output: denominators grow with the index
+
+
+def assert_kernels_match(cases):
+    """kernel(arg) equals ref(arg): window, coefficients, and Fraction coefficients."""
+    for kernel, ref, arg in cases:
+        got, want = kernel(arg), ref(arg)
+        assert got.window() == want.window()
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("family", ["bench", "factorial", "sin_half_square", "log_output"])
+def test_rational_kernels_match_fraction_loops(family):
+    # series_inv, series_log and series_exp (of a - 1, so of a log output in
+    # the last family) against the per-term Fraction loops they replaced
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120):
+        a = unit_series(family, n)
+        cases = [(series_inv, generic_inv, a), (series_log, fraction_log, a),
+                 (series_exp, generic_exp, a - 1)]
+        if n <= 34:
+            # q^-1-led and q^2-led inverses, one with a negative rational leading coefficient
+            cases += [(series_inv, generic_inv,
+                       Series(a.var, m, [lead * c for c in a.coeffs], m + n - 1))
+                      for m, lead in ((-1, Fraction(-5, 3)), (2, 1))]
+        assert_kernels_match(cases)
+
+
+def test_rational_kernels_on_short_and_empty_windows():
+    cases = [
+        (series_inv, generic_inv, Series("q", 0, [Fraction(3)], 0)),
+        (series_inv, generic_inv, Series("q", -1, [Fraction(-2), 24], 0)),
+        (series_inv, generic_inv, Series("q", 0, [Fraction(1), 0, 0, 0], 3)),
+        (series_exp, generic_exp, Series("q", 1, [], 0)),
+        (series_exp, generic_exp, Series("q", 3, [], 2)),
+        (series_exp, generic_exp, Series("q", 2, [Fraction(1, 2)] + [Fraction(0)] * 8, 10)),
+        (series_log, fraction_log, Series("q", 0, [Fraction(1)], 0)),
+        (series_log, fraction_log, Series("q", 0, [Fraction(1), 0, 0], 2)),
+        (series_log, fraction_log, Series("q", 0, [Fraction(1), 0, Fraction(-7, 4), 0], 3)),
+    ]
+    assert_kernels_match(cases)
+    with pytest.raises(ValueError):
+        series_inv(Series("q", 1, [], 0))
+
+
+def test_rational_kernels_on_growing_denominators():
+    # Scaling every coefficient by a power of one global denominator (x_0^(k+1)
+    # or D^k) takes minutes on these inputs at length 240, so a return of that
+    # growth makes this test hang instead of failing an assert.
+    n = 240
+    for a in (Series("q", 0, [Fraction(1, factorial(k)) for k in range(n)], n - 1),
+              Series("q", 0, [Fraction(1, k + 1) for k in range(n)], n - 1)):
+        inv, lg = series_inv(a), series_log(a)
+        assert inv.window() == (0, n - 1) and inv * a == 1
+        exp = series_exp(lg)
+        assert exp.window() == a.window() and exp == a
+        lhs = q_derive(lg) * a
+        assert lhs.order == n - 1 and lhs == q_derive(a)
 
 
 def test_nested_kernels_match_generic_loop():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -44,6 +45,25 @@ def test_bernoulli_frozen_values():
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(3) == 0 and bernoulli(11) == 0
+
+
+def recurrence_bernoulli(n_max):
+    """B_0..B_n_max from sum_{j<=n} C(n+1, j) B_j = 0, the Fraction recurrence
+    that the tangent-number formula replaced."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        b.append(-sum((comb(n + 1, j) * b[j] for j in range(n)), Fraction(0)) / (n + 1))
+    return b
+
+
+def test_bernoulli_matches_fraction_recurrence():
+    bernoulli.cache_clear()
+    want = recurrence_bernoulli(100)
+    got = [bernoulli(n) for n in range(101)]
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+    with pytest.raises(ValueError):
+        bernoulli(-1)
 
 
 def test_eisenstein_frozen_values():
