@@ -17,7 +17,8 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
-from .series import Series, YLaurent, _cleared, _exp_recurrence, parse_rational, weighted_product
+from .series import (Series, YLaurent, _cleared, _exp_recurrence, _pack, _slot_bytes, _unpack,
+                     parse_rational, weighted_product)
 
 
 class NotQuasimodular(Exception):
@@ -261,7 +262,8 @@ def _monomial_coeffs(a, b, c, order):
     """q^0..q^order of E2^a E4^b E6^c as ints, built incrementally.
 
     The cached column with one lower c (else b, else a) times the integer
-    expansion of E6 (else E4, else E2): one O(order^2) convolution.
+    expansion of E6 (else E4, else E2): one big-int product of the two packed
+    columns (series._pack), read back through q^order.
     """
     if order < 0:
         raise ValueError("window does not reach the monomial")
@@ -272,7 +274,8 @@ def _monomial_coeffs(a, b, c, order):
     gen = _eisenstein_coeffs(weight, order)
     assert all(x.denominator == 1 for x in gen)
     gen = [x.numerator for x in gen]
-    return tuple(sum(map(mul, prev[k::-1], gen[:k + 1])) for k in range(order + 1))
+    size = _slot_bytes((order + 1) * max(map(abs, prev)) * max(map(abs, gen)))
+    return tuple(_unpack(_pack(prev, size) * _pack(gen, size), order + 1, size))
 
 
 def qmod_expand(elem, order):

@@ -9,13 +9,16 @@ coefficient-wise equality on the common certified window.
 
 Coefficients may be int/Fraction, YLaurent, or another Series (for bivariate
 work an outer u-series holds q-series coefficients).  All operations stay
-exact; no floats anywhere.  The kernels run over int rows: a YLaurent is a
-dense list of int numerators over one denominator, and the same layout with
-a window holds a rational q-series, so a scalar product is one convolution,
-series_inv, series_exp and series_log run one int recurrence over a running
-common denominator (_running_recurrence), and a nested series runs its
-product, inverse, exp and log over rows (where an exact scalar zero imposes
-no inner window), converted back once per call.
+exact; no coefficient is ever a float.  The kernels run over int rows: a
+YLaurent is a dense list of int numerators over one denominator, and the
+same layout with a window holds a rational q-series, so a scalar product is
+one convolution, series_inv, series_exp and series_log run one int
+recurrence over a running common denominator (_running_recurrence), and a
+nested series runs its product, inverse, exp and log over rows (where an
+exact scalar zero imposes no inner window), converted back once per call.
+A product of two-variable series (nested rows, or YLaurent coefficients)
+packs every row into one int (Kronecker substitution, _pack) and sums one
+big-int product per pair of rows.
 """
 
 from __future__ import annotations
@@ -330,10 +333,11 @@ class Series:
         min(a.order + b.min_exp, b.order + a.min_exp).
 
         Rational factors are fraction-free: one int convolution of the two
-        cleared rows.  Nested factors (scalar and q-series coefficients) run
-        the coefficient loop over rows, where an exact scalar zero imposes no
-        inner window; YLaurent coefficients run it as they are.  A non-series
-        factor scales every coefficient.
+        cleared rows.  Nested factors (scalar and q-series coefficients, as
+        rows) and YLaurent coefficients run _generic_mul: one big-int product
+        of packed rows per pair, where an exact zero imposes no inner window.
+        Any other coefficient raises TypeError.  A non-series factor scales
+        every coefficient.
         """
         if isinstance(other, Series) and other.var == self.var:
             a, b = self, other
@@ -393,6 +397,38 @@ def _conv(a, b, n):
     la, lb, rb = len(a), len(b), b[::-1]
     return [sum(map(mul, a[max(0, k - lb + 1):k + 1], rb[max(lb - 1 - k, 0):lb + la - 1 - k]))
             for k in range(n)]
+
+
+def _slot_bytes(bound):
+    """Bytes per signed slot that holds every int v with |v| <= bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(n, size):
+    """2^(8 size - 1) in each of n slots of size bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack(vals, size):
+    """sum_t vals[t] 2^(8 size t): ints with |v| < 2^(8 size - 1), one per slot.
+
+    Packed through biased bytes, so a product of two packs is the packed
+    convolution (Kronecker substitution) while no slot of it overflows.
+    """
+    half = 1 << 8 * size - 1
+    raw = b"".join((v + half).to_bytes(size, "little") for v in vals)
+    return int.from_bytes(raw, "little") - _bias(len(vals), size)
+
+
+def _unpack(x, n, size):
+    """The first n signed slots of x, each of absolute value < 2^(8 size - 1).
+
+    Adding the per-slot bias makes every slot nonnegative, so reading the
+    bytes loses no borrow; the slots past n drop out modulo 2^(8 size n).
+    """
+    half = 1 << 8 * size - 1
+    raw = ((x + _bias(n, size)) & ((1 << 8 * size * n) - 1)).to_bytes(size * n, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, size * n, size)]
 
 
 def _running_recurrence(w, div, first, top=None):
@@ -472,16 +508,56 @@ def _rowwise(kernel):
 
 @_rowwise
 def _generic_mul(a, b):
-    """The coefficient-by-coefficient Series product, over any coefficient ring."""
-    lo = a.min_exp + b.min_exp
-    hi = min(a.order + b.min_exp, b.order + a.min_exp)
+    """The Series product over YLaurent coefficients or rows, and scalars.
+
+    Every row is packed once, its int numerators in signed slots of one
+    width (_pack, Kronecker substitution).  Output row k lies over the lcm
+    D_k of den_i den_j over its pairs, and its numerators are the slots of
+    sum_{i+j=k} (D_k / (den_i den_j)) pack(a_i) pack(b_j), each product
+    shifted to the row's floor, unpacked and normalized once.  Clearing each
+    factor to one denominator instead would double the slot width when row
+    denominators spread, as those of u^2g / (2g)! do.  The windows are those of
+    summing YLaurent products: a pair is certified through
+    min(hi_a + lo_b, hi_b + lo_a) (exact if both are), a row through the
+    least of its pairs, and an exact zero imposes none.  A coefficient with
+    only scalar pairs stays a Fraction.
+    """
+    lo, n = a.min_exp + b.min_exp, min(len(a.coeffs), len(b.coeffs))
+    fa, fb = a.coeffs[:n], b.coeffs[:n]
+    ra, rb = ([_row(c) if _is_scalar(c) else c for c in f] for f in (fa, fb))
+    if not all(isinstance(r, YLaurent) for r in ra + rb):
+        raise TypeError("coefficients must be scalars, YLaurent or rational series")
+    za, zb = list(map(_is_exact_zero, ra)), list(map(_is_exact_zero, rb))
+    live = [[i for i in range(k + 1) if not (za[i] or zb[k - i])] for k in range(n)]
+    dens = [lcm(*(ra[i].den * rb[k - i].den for i in pairs)) for k, pairs in enumerate(live)]
+    # a slot of row k sums at most n scaled convolutions, each at most `terms`
+    # products of numerators |x| <= den * peak, so it is at most
+    # n * D_k * terms * peak_a * peak_b in absolute value
+    terms = min(max((len(r.nums) for r in rs), default=0) for rs in (ra, rb))
+    peak_a, peak_b = (max((-(-max(map(abs, r.nums)) // r.den) for r in rs if r.nums), default=0)
+                      for rs in (ra, rb))
+    size = _slot_bytes(max(n * max(dens, default=1) * terms * peak_a * peak_b,
+                           max((abs(x) for r in ra + rb for x in r.nums), default=0)))
+    inf = float("inf")
+    # per row (lo, hi or inf where exact, top exponent, den, pack)
+    pa, pb = ([(r.lo, inf if r.hi is None else r.hi, r.lo + len(r.nums) - 1, r.den,
+                _pack(r.nums, size)) for r in rs] for rs in (ra, rb))
+    scalars = any(map(_is_scalar, fa)) and any(map(_is_scalar, fb))
     coeffs = []
-    for k in range(lo, hi + 1):
-        acc = Fraction(0)
-        for i in range(max(a.min_exp, k - b.order), min(a.order, k - b.min_exp) + 1):
-            acc = acc + a.coeffs[i - a.min_exp] * b.coeffs[k - i - b.min_exp]
-        coeffs.append(acc)
-    return Series(a.var, lo, coeffs, hi)
+    for k, pairs in enumerate(live):
+        prods, hi, top, den = [], inf, -inf, dens[k]
+        for x, y in ((pa[i], pb[k - i]) for i in pairs):
+            hi = min(hi, x[1] + y[0], y[1] + x[0])
+            top = max(top, x[2] + y[2])
+            prods.append((x[0] + y[0], x[4] * (den // (x[3] * y[3])) * y[4]))
+        floor = min((s for s, _ in prods), default=0)
+        m = min(top, hi) - floor + 1
+        acc = sum(p << 8 * size * (s - floor) for s, p in prods)
+        row = YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den,
+                                   None if hi == inf else hi)
+        scalar = scalars and all(_is_scalar(fa[i]) and _is_scalar(fb[k - i]) for i in range(k + 1))
+        coeffs.append(row.coeff(0) if scalar else row)
+    return Series(a.var, lo, coeffs, lo + n - 1)
 
 
 @_rowwise

@@ -10,7 +10,10 @@ compare on the short window, and check that one step past it raises.  The
 coefficient-ring tests hold the dense YLaurent, the fraction-free scalar
 Series product and series_inv, and the nested (u, q) row kernels against
 test-local copies of the dict-of-Fraction YLaurent, the Fraction inverse
-recurrence and the generic coefficient loops they replaced.  Rational
+recurrence and the generic coefficient loops they replaced; (y, q) and
+nested products, which multiply packed rows as big ints, are held against
+the generic loop over YLaurent products, and the pack/unpack helpers against
+the plain int convolution at the extremes of their slot bound.  Rational
 series_inv, series_exp and series_log are held against the per-term
 Fraction loops on inputs whose denominators stay small, grow like k!, or
 grow with the index as log outputs do.
@@ -32,6 +35,7 @@ from k3series.kkv import (
     hodge_r_series,
     inv_discriminant_q,
     inv_discriminant_yq,
+    pairs_point_factor,
     u_slice,
 )
 from k3series.modforms import discriminant_q, discriminant_yq, eisenstein
@@ -39,6 +43,10 @@ from k3series.series import (
     PrecisionError,
     Series,
     YLaurent,
+    _conv,
+    _pack,
+    _slot_bytes,
+    _unpack,
     q_derive,
     series_exp,
     series_inv,
@@ -958,6 +966,109 @@ def test_nested_kernels_match_generic_loop():
             else:
                 assert got.window() == want.window()
                 assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
+
+
+def yq_series(rng, val, order):
+    """A (y, q) series: YLaurent coefficients with negative y-exponents, exact
+    zeros YLaurent() and Fraction(0), and nonzero Fraction scalars."""
+    coeffs = []
+    for _ in range(val, order + 1):
+        kind = rng.randrange(6)
+        coeffs.append(YLaurent() if kind == 0 else Fraction(0) if kind == 1
+                      else random_rational(rng) if kind == 2 else YLaurent(random_terms(rng)))
+    coeffs[0] = YLaurent({rng.randint(-3, 3): random_rational(rng) or 1})
+    return Series("q", val, coeffs, order)
+
+
+def assert_same_yq(got, want):
+    """Equal windows, values and inner hi; a type may differ only at an exact zero."""
+    assert got.window() == want.window()
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert g == w and getattr(g, "hi", None) == getattr(w, "hi", None)
+        if g != 0:
+            assert type(g) is type(w)
+
+
+def test_yq_products_match_generic_loop():
+    rng = random.Random(65)
+    for _ in range(60):
+        a, b = (yq_series(rng, rng.randint(-2, 2), rng.randint(2, 9)) for _ in range(2))
+        for got, want in [(a * b, generic_mul(a, b))] + [
+                (a ** n, generic_pow(a, n)) for n in (1, 2, 3)]:
+            assert_same_yq(got, want)
+    # scalar-only pairs stay Fractions, mixed pairs become YLaurent
+    s = Series("q", 0, [Fraction(2), YLaurent({-1: 1, 1: 1}), Fraction(-1, 3)], 2)
+    assert [type(c) for c in (s * s).coeffs] == [Fraction, YLaurent, YLaurent]
+    assert_same_yq(s * s, generic_mul(s, s))
+    # a factor whose rows are all zero still packs the other factor's large entries;
+    # an empty window gives an empty product
+    empty = Series("u", 0, [Series("q", 1, [], 0), Fraction(0)], 1)
+    large = Series("u", 0, [Series("q", 0, [Fraction(2 ** 90, 3), Fraction(-1)], 1), 2], 1)
+    for x, y in ((empty, large), (large, empty), (large, Series("u", 2, [], 1)),
+                 (s, Series("q", 1, [], 0)), (Series("q", -1, [], -2), s)):
+        got, want = x * y, generic_mul(x, y)
+        assert got.window() == want.window()
+        assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
+    inv, pf = inv_discriminant_yq(7), pairs_point_factor(8)
+    for n in (1, 2, 3):
+        assert_same_yq(inv * pf ** n, generic_mul(inv, generic_pow(pf, n)))
+
+
+def test_packed_rows_at_extremes():
+    # Kronecker decoding errors show only where a slot sum reaches its bound,
+    # at slot boundaries with mixed signs, or at the ends of a row
+    big = 2 ** 200 - 1
+    rows = [[], [0], [0, 0, 0], [1], [-1], [big], [-big], [5] * 9, [-5] * 9, [7] * 4,
+            [big] * 6, [1, -1] * 6, [-1, 1] * 5 + [-1], [big, -big, big], [-big] * 7 + [big],
+            [127], [-128], [11], [-11] * 2, [1, 0, 0, -1], [0, -big, 0, big, 0]]
+    for a in rows:
+        ma = max(map(abs, a), default=0)
+        assert _unpack(_pack(a, _slot_bytes(ma)), len(a), _slot_bytes(ma)) == a
+        for b in rows:
+            mb, terms = max(map(abs, b), default=0), min(len(a), len(b))
+            size = _slot_bytes(max(terms * ma * mb, ma, mb))
+            for n in {len(a) + len(b) - 1, len(a), 1, 0} - {-1}:
+                assert _unpack(_pack(a, size) * _pack(b, size), n, size) == _conv(a, b, n)
+            if len(set(a)) == len(set(b)) == 1:
+                # constant rows: the middle slot of the product reaches the bound
+                assert max(map(abs, _conv(a, b, len(a) + len(b) - 1))) == terms * ma * mb
+    # the bound is tight: 127 fits one signed byte, 128 does not
+    assert _slot_bytes(0) == _slot_bytes(121) == _slot_bytes(127) == 1
+    assert _slot_bytes(128) == _slot_bytes(2 ** 15 - 1) == 2 and _slot_bytes(2 ** 15) == 3
+    with pytest.raises(OverflowError):
+        _pack([128], 1)
+
+
+def test_product_rejects_other_coefficients():
+    yq = Series("q", 0, [YLaurent({1: 1}), YLaurent({-1: 2})], 1)
+    nested = Series("u", 0, [Series("q", 0, [Fraction(1), Fraction(2)], 1)], 0)
+    deep = Series("u", 0, [yq], 0)
+    for a, b in ((yq, Series("q", 0, [nested], 0)), (deep, deep), (deep, nested)):
+        with pytest.raises(TypeError):
+            a * b
+
+
+def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
+    # a nested or (y, q) product is one packed big-int product per pair of
+    # rows, never a YLaurent product per pair
+    factors = (hodge_r_series(18, 9), gw_point_factor(20, 10),
+               inv_discriminant_yq(9), pairs_point_factor(10))
+    calls = []
+
+    def counting(name):
+        plain = getattr(YLaurent, name)
+
+        def wrapped(self, other):
+            calls.append(name)
+            return plain(self, other)
+        return wrapped
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(YLaurent, name, counting(name))
+    hodge, gw, inv, pf = factors
+    nested, yq = hodge * gw ** 2, inv * pf ** 3
+    assert calls == []
+    assert nested.window() == (2, 20) and yq.window() == (2, 11)
 
 
 # -- large-N oracles ----------------------------------------------------------
