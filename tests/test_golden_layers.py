@@ -1,0 +1,50 @@
+"""Golden digests of the (y, q) and (u, q) layers past the README sizes.
+
+Each case renders one output of a generator or table and compares its
+SHA-256 with a digest recorded before the kernels behind it were rewritten:
+the rows of Delta(y, q) and 1/Delta(y, q) through q^60 (each row as its
+(lo, nums, den, hi) fields), the BPS table r_{g,h} through (40, 40), the
+Hodge table R_{g,h} through (20, 20), and both sides of one GW/pairs
+comparison.  A deliberate change to one of these outputs updates its digest
+in the same change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from k3series.kkv import bps_r_table, gw_pairs_check, hodge_r_table, inv_discriminant_yq
+from k3series.modforms import discriminant_yq
+from k3series.series import series_to_text
+
+
+def _rows(series):
+    lines = [repr(series.window())]
+    lines += [repr((r.lo, r.nums, r.den, r.hi)) for r in series.coeffs]
+    return "\n".join(lines) + "\n"
+
+
+def _both_sides(rep):
+    return series_to_text(rep.gw_side) + series_to_text(rep.pairs_side)
+
+
+CASES = {
+    "discriminant_yq(60)": (lambda: _rows(discriminant_yq(60)),
+                            "efc2e4d800e4b0581471c38eea6ae66fef24a40c24e989439f5a97a1c5663378"),
+    "inv_discriminant_yq(60)": (lambda: _rows(inv_discriminant_yq(60)),
+                                "3eb3fd48ff5e76266296157abcc0f1f79960bc8500e8b413e8d21e6de1b9e12f"),
+    "bps_r_table(40,40)": (lambda: bps_r_table(40, 40).to_csv(),
+                           "32b7a56ac51f8ca6ec7f657dc9a0c8fa103d17edf84865d28beda2a447e4fcfb"),
+    "hodge_r_table(20,20)": (lambda: hodge_r_table(20, 20).to_csv(),
+                             "c1a5e47cab8743ba2c0320123572957bdf3eaaa83258b36e96a05f065c22635c"),
+    "gw_pairs_check(8,3,40)": (lambda: _both_sides(gw_pairs_check(8, 3, 40)),
+                               "02914d4fa5cb86a917e48d7553063dd8ee79a56ca31b1db19c6d0101a502558c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_layer_output_digest(name):
+    render, digest = CASES[name]
+    assert hashlib.sha256(render().encode()).hexdigest() == digest
