@@ -175,7 +175,7 @@ def _suite_points(args, lines):
     t0 = lowgenus.t_form(0)
     for g in range(1, min(3, args.hmax, args.gmax) + 1):
         biv, _ = kkv.point_series_gw(g, g, args.hmax)
-        row = biv.coeff(2 * g - 2)
+        row = kkv.q_coeff(biv, 2 * g - 2)
         want = (qmod_expand(t0 ** g, args.hmax + 2)
                 * kkv.inv_discriminant_q(args.hmax + 1))
         bad_q = first_mismatch(row, want)

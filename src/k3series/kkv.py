@@ -12,8 +12,9 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
     through the symmetric substitution w = y + 1/y -> s^2 - 2 with
     s = 2 sin(u/2).
 
-Bivariate series are nested: an outer u-Series whose coefficients are
-q-Series; all window bookkeeping is inherited from the series layer.
+Bivariate series are an outer u-Series whose coefficients are windowed
+q-rows (YLaurent rows in q) or exact scalars; all window bookkeeping is
+inherited from the series layer, and q_coeff is the q-Series edge.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .series import (
     PrecisionError,
     Series,
     YLaurent,
+    _row,
+    _unrow,
     series_exp,
     series_inv,
     series_log,
@@ -36,7 +39,7 @@ from .series import (
     weighted_product,
 )
 from . import modforms
-from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq, eisenstein
+from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq
 
 
 def format_rational(x):
@@ -143,12 +146,6 @@ def inv_discriminant_yq(order):
     return Series("q", -1, modforms._yq_eta_product(order + 1, -1), order)
 
 
-def _as_ylaurent(c):
-    if isinstance(c, YLaurent):
-        return c
-    return YLaurent({0: c})
-
-
 def bps_r_table(g_max, h_max):
     """The BPS counts r_{g,h}: signed z-basis coefficients of 1/Delta(y,q).
 
@@ -158,8 +155,7 @@ def bps_r_table(g_max, h_max):
     inv = inv_discriminant_yq(max(h_max - 1, -1))
     entries = {}
     for h in range(0, h_max + 1):
-        row = _as_ylaurent(inv.coeff(h - 1))
-        zs = symmetric_to_z(row)
+        zs = symmetric_to_z(inv.coeff(h - 1))
         top = len(zs) - 1
         if any(zs[g] for g in range(h + 1, top + 1)):
             raise AssertionError(f"BPS row h={h} has z-degree above h")
@@ -172,10 +168,19 @@ def bps_r_table(g_max, h_max):
 
 
 def _bernoulli_eisenstein(u_order, q_order):
-    """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order."""
-    w = {j: abs(bernoulli(j)) / (j // 2 * factorial(j)) for j in range(2, u_order + 1, 2)}
-    coeffs = [Series("q", 0, [w[j] * c for c in eisenstein(j, q_order).coeffs], q_order)
-              if j % 2 == 0 else Fraction(0) for j in range(2, u_order + 1)]
+    """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order.
+
+    Since E_2g = 1 - (4g/B_2g) sum sigma_{2g-1}(n) q^n, row 2g is the int
+    row |B_2g|/(g (2g)!) - (4 sgn(B_2g)/(2g)!) sum sigma_{2g-1}(n) q^n.
+    """
+    coeffs = [Fraction(0)] * max(u_order - 1, 0)
+    for j in range(2, u_order + 1, 2):
+        b, f = bernoulli(j), factorial(j)
+        w = abs(b) / (j // 2 * f)
+        den, sig = lcm(w.denominator, f), _sigma_table(j - 1, q_order)
+        c = (4 if b < 0 else -4) * (den // f)
+        row = [w.numerator * den // w.denominator] + [c * s for s in sig[1:]]
+        coeffs[j - 2] = YLaurent._normalized(0, row, den, q_order)
     # below u_order 2 the window is empty: [u_order + 1, u_order]
     return Series("u", min(2, u_order + 1), coeffs, u_order)
 
@@ -185,13 +190,13 @@ def hodge_r_series(u_order, q_order):
     """The bivariate Hodge series sum R_{g,h} u^{2g-2} q^{h-1}.
 
     Equals u^-2/Delta(q) times the exponential of
-    sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q).
+    sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q).  Every even u-coefficient is
+    a windowed q-row, every odd one an exact zero row.
     """
     bu = u_order + 2
     bq = q_order + 1
-    inv_d = inv_discriminant_q(bq)
     expo = series_exp(_bernoulli_eisenstein(bu, bq + 1))
-    pre = Series("u", -2, [inv_d] + [Fraction(0)] * (bu + 2), bu)
+    pre = Series("u", -2, [_row(inv_discriminant_q(bq))] + [Fraction(0)] * (bu + 2), bu)
     out = pre * expo
     if out.order < u_order:
         raise AssertionError("window bookkeeping error in hodge_r_series")
@@ -199,11 +204,13 @@ def hodge_r_series(u_order, q_order):
 
 
 def _inner_coeff(bivariate, u_exp, q_exp):
-    """Coefficient of u^u_exp q^q_exp in a nested series."""
-    c = bivariate.coeff(u_exp)
-    if isinstance(c, Series):
-        return c.coeff(q_exp)
-    return Fraction(c) if q_exp == 0 else Fraction(0)
+    """Coefficient of u^u_exp q^q_exp (a scalar is c q^0); PrecisionError past a row's hi."""
+    return _row(bivariate.coeff(u_exp)).coeff(q_exp)
+
+
+def q_coeff(bivariate, u_exp):
+    """The coefficient of u^u_exp as a q-Series (an exact scalar stays a scalar)."""
+    return _unrow(_row(bivariate.coeff(u_exp)), "q")
 
 
 def u_slice(bivariate, q_exp):
@@ -276,37 +283,48 @@ def ky_euler_table(n_max, h_max):
 
     Row h of 1/Delta(y,q) is an exact Laurent polynomial; multiplying by the
     ascending expansion 1/(y - 2 + 1/y) = sum_{i>=1} i y^i gives the Euler
-    characteristics, which vanish for n < 1 - h (asserted).
+    characteristics, which are integers and vanish for n < 1 - h (asserted).
     """
     inv = inv_discriminant_yq(max(h_max - 1, -1))
     entries = {}
     for h in range(0, h_max + 1):
-        for n, v in _ascending_values(_as_ylaurent(inv.coeff(h - 1)), h, n_max):
-            if v.denominator != 1:
-                raise AssertionError("Euler characteristic is not an integer")
+        for n, v in _ascending_values(inv.coeff(h - 1), h, n_max):
             entries[(n, h)] = v
     return InvariantTable("euler", entries)
 
 
-def _ascending_extract(row, n):
-    """Coefficient of y^n in row(y) * sum_{i>=1} i y^i."""
-    acc = sum(c * (n - j) for j, c in enumerate(row.nums[:max(n - row.lo, 0)], row.lo))
-    return Fraction(acc, row.den)
+def _ascending_extract(row, n_lo, n_max, alternate=False):
+    """[y^n] row(y) * sum_{i>=1} i y^i (alternate: (-1)^(i-1) i y^i), n = n_lo..n_max.
+
+    It is n S0 - S1, S0 and S1 the running sums of c_e and e c_e over e < n;
+    alternating, c_e enters as (-1)^e c_e and the value is times (-1)^(n-1).
+    """
+    out, s0, s1, e, top = [], 0, 0, row.lo, row.lo + len(row.nums)
+    for n in range(n_lo, n_max + 1):
+        while e < min(n, top):
+            c = -row.nums[e - row.lo] if alternate and e % 2 else row.nums[e - row.lo]
+            s0, s1, e = s0 + c, s1 + e * c, e + 1
+        v = n * s0 - s1
+        out.append(Fraction(-v if alternate and n % 2 == 0 else v, row.den))
+    return out
 
 
 def _ascending_values(row, h, n_max):
-    """(n, _ascending_extract(row, n)) for n = 1-h..n_max; n = -2-h..-h asserted zero."""
-    for n in range(1 - h - 3, 1 - h):
-        if _ascending_extract(row, n):
+    """(n, _ascending_extract at n), n = 1-h..n_max: asserted integral, and zero below."""
+    values = _ascending_extract(row, -2 - h, max(n_max, -h))
+    for n, v in zip(range(-2 - h, 1 - h), values):
+        if v:
             raise AssertionError(f"row h={h} should vanish at n={n} < 1-h")
-    return [(n, _ascending_extract(row, n)) for n in range(1 - h, n_max + 1)]
+    if any(v.denominator != 1 for v in values):
+        raise AssertionError("Euler characteristic is not an integer")
+    return list(zip(range(1 - h, n_max + 1), values[3:]))
 
 
 def signed_euler_table(euler):
     """(-1)^{n + 2h - 1} e(P_n(S,h)): the signed pairs partition numbers."""
     entries = {}
     for (n, h), v in euler.entries.items():
-        entries[(n, h)] = Fraction(_sign(n + 1)) * v
+        entries[(n, h)] = v if n % 2 else -v
     return InvariantTable("signedZ", entries)
 
 
@@ -316,19 +334,15 @@ def pairs_signed_Z(h, n_window):
     Returns (N_h, report): the numerator N_h(y) = [q^{h-1}] 1/Delta(-y, q)
     with Z_h(y) = N_h(y) * y/(1+y)^2, plus a report checking symmetry and
     the ascending expansion against the signed Euler characteristics up to
-    y^n_window.
+    y^n_window.  Only row h of 1/Delta(y,q) is read.
     """
-    inv = inv_discriminant_yq(max(h - 1, -1))
-    numerator = _as_ylaurent(inv.coeff(h - 1)).substitute_neg()
-    euler = ky_euler_table(n_window, h)
-    signed = signed_euler_table(euler)
-    mismatches = []
-    for n in range(1 - h, n_window + 1):
-        # y/(1+y)^2 = sum_{i>=1} (-1)^{i-1} i y^i
-        acc = sum(c * _sign(n - j - 1) * (n - j) for j, c in
-                  enumerate(numerator.nums[:max(n - numerator.lo, 0)], numerator.lo))
-        if Fraction(acc, numerator.den) != signed.value(n, h):
-            mismatches.append(n)
+    row = inv_discriminant_yq(max(h - 1, -1)).coeff(h - 1)
+    numerator = row.substitute_neg()
+    signed = [v if n % 2 else -v for n, v in _ascending_values(row, h, n_window)]
+    # y/(1+y)^2 = sum_{i>=1} (-1)^{i-1} i y^i
+    expansion = _ascending_extract(numerator, 1 - h, n_window, alternate=True)
+    mismatches = [n for n, got, want in zip(range(1 - h, n_window + 1), expansion, signed)
+                  if got != want]
     report = {
         "h": h,
         "n_window": n_window,
@@ -366,9 +380,8 @@ def gw_point_factor(u_order, q_order):
             continue
         g = j // 2
         sig = _sigma_table(2 * g - 1, q_order)
-        inner = [Fraction(_sign(g + 1) * 2 * m * sig[m], factorial(j))
-                 for m in range(1, q_order + 1)]
-        coeffs.append(Series("q", 1, inner, q_order))
+        inner = [_sign(g + 1) * 2 * m * sig[m] for m in range(1, q_order + 1)]
+        coeffs.append(YLaurent._normalized(1, inner, factorial(j), q_order))
     return Series("u", 2, coeffs, u_order)
 
 
@@ -408,7 +421,7 @@ def _numerator_rows(prod, k, h_max):
     sign = Fraction((-1) ** (k + 1))
     rows = {}
     for h in range(0, h_max + 1):
-        row = _as_ylaurent(prod.coeff(h - 1)) * sign
+        row = _row(prod.coeff(h - 1)) * sign
         if not row.is_symmetric():
             raise AssertionError("pairs numerator is not symmetric in y <-> 1/y")
         rows[h] = row
@@ -420,7 +433,7 @@ def _c_point_entries(rows, k, n_max):
     entries = {}
     for h, row in rows.items():
         for n, v in _ascending_values(row, h, n_max):
-            entries[(k, n, h)] = Fraction(_sign(n)) * v
+            entries[(k, n, h)] = -v if n % 2 else v
     return entries
 
 
@@ -530,21 +543,14 @@ class LogIdentityReport:
 
 
 def _transpose_y_rows(qs, u_order, flip_sign):
-    """Bivariate (outer u, inner q) from a q-series with YLaurent rows.
+    """Bivariate (outer u, inner q-rows) from a q-series with YLaurent coefficients.
 
     Each row is substituted via trig_substitute after an optional y -> -y
     flip (flip_sign=True realizes y = exp(iu), False realizes y = -exp(iu)).
     """
-    rows = []
-    for hq in range(qs.min_exp, qs.order + 1):
-        row = _as_ylaurent(qs.coeff(hq))
-        if flip_sign:
-            row = row.substitute_neg()
-        rows.append(trig_substitute(row, u_order))
-    coeffs = []
-    for j in range(0, u_order + 1):
-        inner = [rows[i].coeff(j) for i in range(len(rows))]
-        coeffs.append(Series("q", qs.min_exp, inner, qs.order))
+    rows = [trig_substitute(c.substitute_neg() if flip_sign else c, u_order) for c in qs.coeffs]
+    coeffs = [_row(Series("q", qs.min_exp, [r.coeff(j) for r in rows], qs.order))
+              for j in range(u_order + 1)]
     return Series("u", 0, coeffs, u_order)
 
 
@@ -563,11 +569,10 @@ def log_identity_check(u_order, q_order):
     s2 = sin_half_square(bu + 2)
     big_s2 = Series("u", 0, s2.coeffs, bu)  # S(u)^2 = s^2 / u^2
     inv_big_s2 = series_inv(big_s2)
-    prod = inv_big_s2 * inv_du
-    target = prod.scale(discriminant_q(bq))
+    delta = Series("u", 0, [_row(discriminant_q(bq))] + [Fraction(0)] * bu, bu)
+    target = inv_big_s2 * inv_du * delta
 
-    row0 = target.coeff(0)
-    if not (row0 == 1):
+    if not (target.coeff(0) == 1):
         raise AssertionError("u^0 row of the log-identity product is not 1")
     shifted = [Fraction(1)] + [target.coeff(j) for j in range(1, target.order + 1)]
     lhs = series_log(Series("u", 0, shifted, target.order))
@@ -579,9 +584,8 @@ def log_identity_check(u_order, q_order):
     for j in range(1, u_order + 1):
         left = lhs.coeff(j)
         right = rhs.coeff(j)
-        for side in (left, right):
-            if isinstance(side, Series) and side.order < q_order:
-                raise AssertionError("q window too short in log_identity_check")
+        if any(r.hi is not None and r.hi < q_order for r in map(_row, (left, right))):
+            raise AssertionError("q window too short in log_identity_check")
         if not (left == right):
             biv_ok = False
             break
@@ -612,7 +616,7 @@ def quasimodularity_audit(k_max, g_max):
     for k in range(0, k_max + 1):
         biv = _gw_point_bivariate(k, 2 * g_max - 2, q_order + 1)
         for g in range(0, g_max + 1):
-            prod = biv.coeff(2 * g - 2) * delta
+            prod = q_coeff(biv, 2 * g - 2) * delta
             elem = modforms.qmod_recognize(prod.truncate(min(prod.order, q_order)),
                                            2 * g + 2 * k)
             results.append((k, g, elem))

@@ -7,18 +7,18 @@ min_exp are exactly zero, and nothing is claimed past the order.  Arithmetic
 propagates the window pessimistically, so equality of two series always means
 coefficient-wise equality on the common certified window.
 
-Coefficients may be int/Fraction, YLaurent, or another Series (for bivariate
-work an outer u-series holds q-series coefficients).  All operations stay
-exact; no coefficient is ever a float.  The kernels run over int rows: a
-YLaurent is a dense list of int numerators over one denominator, and the
-same layout with a window holds a rational q-series, so a scalar product is
-one convolution, series_inv, series_exp and series_log run one int
-recurrence over a running common denominator (_running_recurrence), and a
-nested series runs its product, inverse, exp and log over rows (where an
-exact scalar zero imposes no inner window), converted back once per call.
-A product of two-variable series (nested rows, or YLaurent coefficients)
-packs every row into one int (Kronecker substitution, _pack) and sums one
-big-int product per pair of rows.
+Coefficients may be int/Fraction, YLaurent, or another Series.  All
+operations stay exact; no coefficient is ever a float.  The kernels run over
+int rows: a YLaurent is a dense list of int numerators over one denominator,
+and the same layout with a window holds a rational q-series, so a scalar
+product is one convolution and series_inv, series_exp and series_log run one
+int recurrence over a running common denominator (_running_recurrence).  A
+two-variable series (u, q) keeps its u-coefficients as windowed rows (or
+exact scalars), and every output row of a two-variable product or exp
+recurrence is one packed big-int dot product (Kronecker substitution,
+_row_dot).  A nested series whose u-coefficients are rational q-Series is
+converted to rows once per call (_rowwise), where an exact scalar zero
+imposes no inner window.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ class YLaurent:
     Supports the ring ops, the involution y -> 1/y, and the sign
     substitution y -> -y; `terms` is the read-only view exponent -> Fraction.
 
-    The same layout is the row of nested series (see _rowwise): a row from
-    a q-series is certified only through var^hi (zeros up to hi implied; an
-    empty row has lo = hi + 1), products and sums follow Series' window
-    rules, and its inverse_unit is the series inverse.  Polynomials and
-    scalars have hi None: exact, so they cap no window.
+    The same layout is the row of a two-variable series: a row from a
+    q-series is certified only through var^hi (zeros up to hi implied, coeff
+    raises PrecisionError past it; an empty row has lo = hi + 1), products
+    and sums follow Series' window rules, equality compares the common
+    certified window as Series equality does, and its inverse_unit is the
+    series inverse.  Polynomials and scalars have hi None: exact, so they cap
+    no window, and two of them compare field by field.
     """
 
     __slots__ = ("lo", "nums", "den", "hi")
@@ -103,6 +105,8 @@ class YLaurent:
         return {self.lo + i: Fraction(x, self.den) for i, x in enumerate(self.nums) if x}
 
     def coeff(self, k):
+        if self.hi is not None and k > self.hi:
+            raise PrecisionError(f"coefficient of var^{k} past certified order {self.hi}")
         i = k - self.lo
         if 0 <= i < len(self.nums):
             return Fraction(self.nums[i], self.den)
@@ -221,7 +225,10 @@ class YLaurent:
             other = YLaurent({0: other})
         if not isinstance(other, YLaurent):
             return NotImplemented
-        return (self.lo, self.den, self.nums, self.hi) == (other.lo, other.den, other.nums, other.hi)
+        hi = min((r.hi for r in (self, other) if r.hi is not None), default=None)
+        a, b = (r if hi is None else YLaurent._normalized(  # on the common certified window
+            r.lo, r.nums[:max(hi - r.lo + 1, 0)], r.den) for r in (self, other))
+        return (a.lo, a.den, a.nums) == (b.lo, b.den, b.nums)
 
     def __repr__(self):
         if not self.nums:
@@ -281,7 +288,7 @@ class Series:
         return (self.min_exp, self.order)
 
     def is_zero_on_window(self):
-        return all(_is_exact_zero(c) or c == 0 for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def truncate(self, order):
         if order > self.order:
@@ -342,7 +349,7 @@ class Series:
         if isinstance(other, Series) and other.var == self.var:
             a, b = self, other
             if all(map(_is_scalar, a.coeffs)) and all(map(_is_scalar, b.coeffs)):
-                return _unrow(_row(a) * _row(b), self.var)
+                return _as_series(_row(a) * _row(b), self.var)
             return _generic_mul(a, b)
         if isinstance(other, Series):
             raise ValueError(
@@ -469,26 +476,31 @@ def _running_recurrence(w, div, first, top=None):
 
 
 def _row(c):
-    """A scalar, or a Series of scalars, as one YLaurent row (a window for the Series)."""
+    """A row as it is; a scalar, or a Series of scalars (windowed), as one YLaurent row."""
+    if isinstance(c, YLaurent):
+        return c
     if isinstance(c, Series):
         return YLaurent._normalized(c.min_exp, *_cleared(c.coeffs), c.order)
     return YLaurent._normalized(0, *_cleared([c]))
 
 
-def _unrow(r, var):
-    """A row back as a Fraction (rows without a window) or a var-Series."""
-    if r.hi is None:
-        return r.coeff(0)
+def _as_series(r, var):
+    """A windowed row as a var-Series of Fractions."""
     pad = [Fraction(0)] * (r.hi - r.lo + 1 - len(r.nums))
     return Series(var, r.lo, [Fraction(x, r.den) for x in r.nums] + pad, r.hi)
 
 
+def _unrow(r, var):
+    """A row back as a Fraction (rows without a window) or a var-Series."""
+    return r.coeff(0) if r.hi is None else _as_series(r, var)
+
+
 def _rowwise(kernel):
-    """kernel with the coefficients of nested series arguments as YLaurent rows.
+    """kernel, adapted to nested series whose coefficients are rational Series.
 
     Applies when some coefficient is a Series and every one is a scalar or a
-    Series of scalars in one variable; the result is converted back once.
-    Otherwise (scalar series, YLaurent coefficients) kernel runs as it is.
+    Series of scalars in one variable: the coefficients go in as rows and
+    come back once.  Otherwise (scalars, rows, YLaurent) kernel runs as it is.
     """
     def run(*args):
         var = None
@@ -506,55 +518,62 @@ def _rowwise(kernel):
     return run
 
 
+def _row_dot(pairs, packs, size, div=1):
+    """(sum x y / div over the row pairs (x, y) as one normalized row, slot width).
+
+    Pairs with an exact zero (no numerators, no window) drop out.  Over D div,
+    D the lcm of den_x den_y, the numerators are the slots of
+    sum (D / (den_x den_y)) pack(x) pack(y), shifted to the row's floor.  A
+    slot is at most sum (D / (den_x den_y)) min(len_x, len_y) peak_x peak_y
+    (peak: the largest |numerator|), and every packed numerator must fit;
+    the width is that bound in whole 4-byte words, never below `size`.  packs
+    maps id(row) to [peak, width, pack] for one call: a row is re-packed only
+    when the width grows.  A pair is certified through min(hi_x + lo_y,
+    hi_y + lo_x), as a YLaurent product is.
+    """
+    live = [(x, y) for x, y in pairs
+            if (x.nums or x.hi is not None) and (y.nums or y.hi is not None)]
+    rows = {id(r): r for pair in live for r in pair}
+    for key, r in rows.items():
+        if key not in packs:
+            packs[key] = [max(map(abs, r.nums), default=0), 0, 0]
+    den = lcm(*(x.den * y.den for x, y in live))
+    bound = sum(den // (x.den * y.den) * min(len(x.nums), len(y.nums))
+                * packs[id(x)][0] * packs[id(y)][0] for x, y in live)
+    size = max(size, -(-_slot_bytes(max([bound] + [packs[key][0] for key in rows])) // 4) * 4)
+    for key, r in rows.items():
+        if packs[key][1] != size:
+            packs[key][1:] = size, _pack(r.nums, size)
+    inf = float("inf")
+    hi = min((min(inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
+              for x, y in live), default=inf)
+    floor = min((x.lo + y.lo for x, y in live), default=0)
+    top = max((x.lo + y.lo + len(x.nums) + len(y.nums) - 2 for x, y in live), default=-1)
+    acc = sum(packs[id(x)][2] * (den // (x.den * y.den)) * packs[id(y)][2]
+              << 8 * size * (x.lo + y.lo - floor) for x, y in live)
+    m = min(top, hi) - floor + 1
+    return YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den * div,
+                                None if hi == inf else hi), size
+
+
 @_rowwise
 def _generic_mul(a, b):
     """The Series product over YLaurent coefficients or rows, and scalars.
 
-    Every row is packed once, its int numerators in signed slots of one
-    width (_pack, Kronecker substitution).  Output row k lies over the lcm
-    D_k of den_i den_j over its pairs, and its numerators are the slots of
-    sum_{i+j=k} (D_k / (den_i den_j)) pack(a_i) pack(b_j), each product
-    shifted to the row's floor, unpacked and normalized once.  Clearing each
-    factor to one denominator instead would double the slot width when row
-    denominators spread, as those of u^2g / (2g)! do.  The windows are those of
-    summing YLaurent products: a pair is certified through
-    min(hi_a + lo_b, hi_b + lo_a) (exact if both are), a row through the
-    least of its pairs, and an exact zero imposes none.  A coefficient with
-    only scalar pairs stays a Fraction.
+    Output row k is one packed dot over its pairs (_row_dot), over the lcm of
+    den_i den_j rather than one denominator per factor, which would double
+    the slot width where row denominators spread (u^2g / (2g)!).  A
+    coefficient with only scalar pairs stays a Fraction.
     """
     lo, n = a.min_exp + b.min_exp, min(len(a.coeffs), len(b.coeffs))
     fa, fb = a.coeffs[:n], b.coeffs[:n]
     ra, rb = ([_row(c) if _is_scalar(c) else c for c in f] for f in (fa, fb))
     if not all(isinstance(r, YLaurent) for r in ra + rb):
         raise TypeError("coefficients must be scalars, YLaurent or rational series")
-    za, zb = list(map(_is_exact_zero, ra)), list(map(_is_exact_zero, rb))
-    live = [[i for i in range(k + 1) if not (za[i] or zb[k - i])] for k in range(n)]
-    dens = [lcm(*(ra[i].den * rb[k - i].den for i in pairs)) for k, pairs in enumerate(live)]
-    # a slot of row k sums at most n scaled convolutions, each at most `terms`
-    # products of numerators |x| <= den * peak, so it is at most
-    # n * D_k * terms * peak_a * peak_b in absolute value
-    terms = min(max((len(r.nums) for r in rs), default=0) for rs in (ra, rb))
-    peak_a, peak_b = (max((-(-max(map(abs, r.nums)) // r.den) for r in rs if r.nums), default=0)
-                      for rs in (ra, rb))
-    size = _slot_bytes(max(n * max(dens, default=1) * terms * peak_a * peak_b,
-                           max((abs(x) for r in ra + rb for x in r.nums), default=0)))
-    inf = float("inf")
-    # per row (lo, hi or inf where exact, top exponent, den, pack)
-    pa, pb = ([(r.lo, inf if r.hi is None else r.hi, r.lo + len(r.nums) - 1, r.den,
-                _pack(r.nums, size)) for r in rs] for rs in (ra, rb))
     scalars = any(map(_is_scalar, fa)) and any(map(_is_scalar, fb))
-    coeffs = []
-    for k, pairs in enumerate(live):
-        prods, hi, top, den = [], inf, -inf, dens[k]
-        for x, y in ((pa[i], pb[k - i]) for i in pairs):
-            hi = min(hi, x[1] + y[0], y[1] + x[0])
-            top = max(top, x[2] + y[2])
-            prods.append((x[0] + y[0], x[4] * (den // (x[3] * y[3])) * y[4]))
-        floor = min((s for s, _ in prods), default=0)
-        m = min(top, hi) - floor + 1
-        acc = sum(p << 8 * size * (s - floor) for s, p in prods)
-        row = YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den,
-                                   None if hi == inf else hi)
+    packs, size, coeffs = {}, 1, []
+    for k in range(n):
+        row, size = _row_dot([(ra[i], rb[k - i]) for i in range(k + 1)], packs, size)
         scalar = scalars and all(_is_scalar(fa[i]) and _is_scalar(fb[k - i]) for i in range(k + 1))
         coeffs.append(row.coeff(0) if scalar else row)
     return Series(a.var, lo, coeffs, lo + n - 1)
@@ -575,10 +594,9 @@ def series_inv(a):
         raise ValueError("cannot invert a series with an empty window")
     m = a.min_exp
     if all(map(_is_scalar, a.coeffs)):
-        return _unrow(_row(a).inverse_unit(), a.var)
+        return _as_series(_row(a).inverse_unit(), a.var)
     lead = a.coeffs[0]
-    b0 = (lead.inverse_unit() if isinstance(lead, YLaurent) else
-          series_inv(lead) if isinstance(lead, Series) else Fraction(1) / lead)
+    b0 = lead.inverse_unit() if isinstance(lead, YLaurent) else Fraction(1) / lead
     out = [b0]
     for k in range(1, len(a.coeffs)):
         acc = Fraction(0)
@@ -601,8 +619,9 @@ def series_exp(a):
     k e_k = sum_{j=1..k} j a_j e_{k-j}: O(order^2) coefficient products and
     no Series product.  Rational input a = x / D runs it over int as
     e_k = sum_j j x_j e_{k-j} / (k D) with a running common denominator
-    (_running_recurrence).  Nested series run it over rows: no inner
-    q-Series is built per term.
+    (_running_recurrence).  Two-variable series run it over rows, one packed
+    dot per step (_exp_recurrence): no inner q-Series and no YLaurent product
+    is built per term.
     """
     if a.min_exp < 1:
         raise ValueError("series_exp needs positive valuation")
@@ -611,8 +630,10 @@ def series_exp(a):
         r = _row(a)
         w = [-j * v for j, v in enumerate(_padded(r, n))]
         nums, den = _running_recurrence(w, [k * r.den for k in range(n)], (1, 1))
-        return _unrow(YLaurent._normalized(0, nums, den, a.order), a.var)
-    d = [None] + [j * a.coeff(j) for j in range(1, n)]
+        return _as_series(YLaurent._normalized(0, nums, den, a.order), a.var)
+    d = [None] + [j * c if _is_scalar(c) else
+                  YLaurent._normalized(c.lo, [j * x for x in c.nums], c.den, c.hi)
+                  for j, c in ((j, a.coeff(j)) for j in range(1, n))]
     return Series(a.var, 0, _exp_recurrence(d, a.order, Fraction(1)), a.order)
 
 
@@ -639,7 +660,7 @@ def series_log(a):
                                      [k * v for k, v in enumerate(x)])
         f = lcm(*(k // gcd(v, k) for k, v in enumerate(b) if k))  # l_k = b_k / k over den * f
         nums = [v * f // k if k else 0 for k, v in enumerate(b)]
-        return _unrow(YLaurent._normalized(0, nums, den * f, order), a.var)
+        return _as_series(YLaurent._normalized(0, nums, den * f, order), a.var)
     e = [eps.coeff(k) for k in range(order + 1)]
     # b[k] = k l_k, the coefficients of var d/dvar log(a)
     b = [None]
@@ -694,27 +715,28 @@ def weighted_product(exponents, order, default=0, var="q"):
 def _exp_recurrence(d, n, one):
     """p_0..p_n of the series p with p_0 = one and var d/dvar log p = sum d_j var^j.
 
-    Runs m p_m = sum_{j=1..m} d_j p_{m-j}, O(n^2) coefficient products; d[0]
-    is ignored and exact-zero d_j are skipped.  Over int the division by m
-    is exact (a remainder is an AssertionError); any other ring (Fraction,
-    YLaurent and its rows) multiplies by Fraction(1, m).
+    Runs m p_m = sum_{j=1..m} d_j p_{m-j}; d[0] is ignored.  Over int (one
+    an int) the division by m is exact (a remainder is an AssertionError).
+    Otherwise d holds scalars and YLaurent rows, and step m is one packed dot
+    over D_m m (_row_dot); p_m stays a scalar when `one` and every pair of
+    step m are scalars.
     """
-    support = [j for j in range(1, n + 1) if not _is_exact_zero(d[j])]
-    zero = one * 0  # in the ring of `one`, so a sum with no terms keeps its type
     p = [one]
-    for m in range(1, n + 1):
-        acc = zero
-        for j in support:
-            if j > m:
-                break
-            acc = acc + d[j] * p[m - j]
-        if isinstance(acc, int):
-            acc, rem = divmod(acc, m)
+    if isinstance(one, int):
+        for m in range(1, n + 1):
+            acc, rem = divmod(sum(map(mul, d[1:m + 1], reversed(p))), m)
             if rem:
                 raise AssertionError("integer log-derivative recurrence is not exact")
             p.append(acc)
-        else:
-            p.append(acc * Fraction(1, m))
+        return p
+    rd = {j: _row(d[j]) for j in range(1, n + 1) if not _is_exact_zero(d[j])}
+    rows, packs, size = [_row(one)], {}, 1
+    for m in range(1, n + 1):
+        live = [j for j in rd if j <= m]
+        row, size = _row_dot([(rd[j], rows[m - j]) for j in live], packs, size, m)
+        rows.append(row)
+        scalar = _is_scalar(one) and all(_is_scalar(d[j]) and _is_scalar(p[m - j]) for j in live)
+        p.append(row.coeff(0) if scalar else row)
     return p
 
 
@@ -724,8 +746,7 @@ def _w_numerators(p):
     Peels the top power off the numerators for y^0..y^top: w^d contributes
     C(d, k) at y^(d - 2k), so the reduction never leaves the int list.
     """
-    if not isinstance(p, YLaurent):
-        p = YLaurent({0: p})
+    p = _row(p)
     if not p.is_symmetric():
         raise ValueError("polynomial is not symmetric under y -> 1/y")
     if p.is_zero():

@@ -22,6 +22,7 @@ grow with the index as log outputs do.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -31,6 +32,7 @@ from k3series.kkv import (
     _bernoulli_eisenstein,
     _inner_coeff,
     bps_r_table,
+    gw_pairs_check,
     gw_point_factor,
     hodge_r_series,
     inv_discriminant_q,
@@ -44,6 +46,7 @@ from k3series.series import (
     Series,
     YLaurent,
     _conv,
+    _exp_recurrence,
     _pack,
     _slot_bytes,
     _unpack,
@@ -345,6 +348,27 @@ def generic_inv(a):
     return Series(a.var, -a.min_exp, out, a.order - 2 * a.min_exp)
 
 
+
+def exact_zero(c):
+    """An exact zero: scalar 0, or a YLaurent with no numerators and no window."""
+    return (not c.nums and c.hi is None) if isinstance(c, YLaurent) else c == 0
+
+
+def generic_exp_recurrence(d, n, one):
+    """The YLaurent loop of the row recurrence m p_m = sum_j d_j p_{m-j}: one
+    YLaurent product and one YLaurent sum per pair, then a scale by 1/m."""
+    support = [j for j in range(1, n + 1) if not exact_zero(d[j])]
+    zero = one * 0  # in the ring of `one`, so a sum with no terms keeps its type
+    p = [one]
+    for m in range(1, n + 1):
+        acc = zero
+        for j in support:
+            if j > m:
+                break
+            acc = acc + d[j] * p[m - j]
+        p.append(acc * Fraction(1, m))
+    return p
+
 # -- helpers ------------------------------------------------------------------
 
 def random_rational(rng):
@@ -362,6 +386,8 @@ def random_q_series(rng, lo, hi, order=None):
 def inner_shape(c):
     if isinstance(c, Series):
         return ("series", c.min_exp, c.order, tuple(c.coeffs))
+    if isinstance(c, YLaurent) and c.hi is not None:
+        return ("row", c.lo, c.hi, c.den, tuple(c.nums))
     return ("scalar", c)
 
 
@@ -543,6 +569,34 @@ def test_nested_kernels_build_no_inner_series(monkeypatch):
                 lambda: series_inv(nested), lambda: series_inv(nested.truncate(4))):
         run()
     assert calls and [c for c in calls if c[1] == "q"] == []
+    # the GW side of gw_pairs_check reads kkv's rows as they are: its run
+    # reaches neither _unrow nor the row conversion of _rowwise, whose
+    # wrapper calls _row only for a nested series a caller built
+    import k3series.series
+
+    run_code = k3series.series._rowwise(None).__code__
+    converted = []
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        caller = frame.f_back
+        if caller.f_code.co_name == "<listcomp>":  # run converts in a list comprehension
+            caller = caller.f_back
+        if event == "call" and (name == "_unrow" or name == "_row" and caller.f_code is run_code):
+            converted.append(name)
+
+    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, gw_point_factor,
+                   pairs_point_factor):
+        cached.cache_clear()
+    sys.setprofile(profile)
+    try:
+        nested * nested
+        assert sorted(set(converted)) == ["_row", "_unrow"]
+        converted.clear()
+        assert gw_pairs_check(5, 2, 12).equal
+    finally:
+        sys.setprofile(None)
+    assert converted == []
 
 
 # -- window soundness ---------------------------------------------------------
@@ -680,7 +734,7 @@ def test_u_slice_window():
                 assert _inner_coeff(short, j, 40) == 0
     # the Hodge series: a short q_order agrees with a long one on its window
     long, short = hodge_r_series(10, 12), hodge_r_series(6, 3)
-    inner = min(c.order for c in short.coeffs if isinstance(c, Series))
+    inner = min(c.hi for c in short.coeffs if isinstance(c, YLaurent) and c.hi is not None)
     assert inner >= 3
     for q in range(-1, inner + 1):
         sl = u_slice(short, q)
@@ -1039,6 +1093,54 @@ def test_packed_rows_at_extremes():
         _pack([128], 1)
 
 
+
+def random_row(rng):
+    """A recurrence input: a windowed row (windows of different lengths, empty
+    ones included), an exact scalar zero, an exact polynomial with negative lo,
+    a nonzero scalar, or a row of +-(2^b - 1) numerators over a wide denominator."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice([Fraction(0), YLaurent()])
+    if kind == 1:
+        lo = rng.randint(-5, -1)
+        return YLaurent({k: random_rational(rng) for k in range(lo, rng.randint(lo + 1, 3))})
+    if kind == 2:
+        return random_rational(rng) or Fraction(1)
+    lo = rng.randint(-1, 2)
+    hi = lo - 1 if kind == 3 else lo + rng.randint(0, 9)
+    if kind == 4:
+        b = rng.choice([1, 7, 8, 63, 64, 200])
+        nums = [rng.choice([-1, 1]) * (2 ** b - 1) for _ in range(hi - lo + 1)]
+        den = rng.choice([1, 3, 2 ** 61 - 1, factorial(30), 3 ** 40])
+    else:
+        den = rng.randint(1, 12)
+        nums = [rng.randint(-9, 9) for _ in range(hi - lo + 1)]
+    return YLaurent._normalized(lo, nums, den, hi)
+
+
+def test_row_recurrence_matches_ylaurent_loop():
+    # the packed recurrence gives the YLaurent loop's rows: values, windows
+    # (inner hi), denominators and coefficient types.  p_0 is 1 (series_exp),
+    # the row 1 (Delta(y, q)) or any input row; in the first case a large row
+    # meets only empty rows, whose products bound no slot
+    rng = random.Random(66)
+    empty = YLaurent._normalized(1, [], 1, 0)
+    cases = [([None, empty, empty], YLaurent._normalized(-1, [2 ** 200 - 1, 5, -(2 ** 199)], 7, 4))]
+    for i in range(240):
+        d = [None] + [random_row(rng) for _ in range(rng.randint(1, 9))]
+        cases.append((d, [Fraction(1), YLaurent({0: 1}), random_row(rng)][i % 3]))
+    for d, one in cases:
+        n = len(d) - 1
+        got, want = _exp_recurrence(d, n, one), generic_exp_recurrence(d, n, one)
+        assert len(got) == len(want) == n + 1
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, YLaurent):
+                assert (g.lo, g.nums, g.den, g.hi) == (w.lo, w.nums, w.den, w.hi)
+            else:
+                assert g == w
+
+
 def test_product_rejects_other_coefficients():
     yq = Series("q", 0, [YLaurent({1: 1}), YLaurent({-1: 2})], 1)
     nested = Series("u", 0, [Series("q", 0, [Fraction(1), Fraction(2)], 1)], 0)
@@ -1050,9 +1152,9 @@ def test_product_rejects_other_coefficients():
 
 def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
     # a nested or (y, q) product is one packed big-int product per pair of
-    # rows, never a YLaurent product per pair
-    factors = (hodge_r_series(18, 9), gw_point_factor(20, 10),
-               inv_discriminant_yq(9), pairs_point_factor(10))
+    # rows, never a YLaurent product per pair, and the exp recurrences behind
+    # Delta(y, q), 1/Delta(y, q) and the Hodge series are one packed dot per
+    # step: building them multiplies and adds no YLaurent
     calls = []
 
     def counting(name):
@@ -1063,9 +1165,16 @@ def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
             return plain(self, other)
         return wrapped
 
-    for name in ("__mul__", "__rmul__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(YLaurent, name, counting(name))
-    hodge, gw, inv, pf = factors
+    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, gw_point_factor,
+                   pairs_point_factor):
+        cached.cache_clear()
+    built = (hodge_r_series(18, 9), discriminant_yq(30), inv_discriminant_yq(30))
+    assert calls == []
+    assert [s.window() for s in built] == [(-2, 18), (1, 30), (-1, 30)]
+    hodge, gw, inv, pf = (hodge_r_series(18, 9), gw_point_factor(20, 10),
+                          inv_discriminant_yq(9), pairs_point_factor(10))
     nested, yq = hodge * gw ** 2, inv * pf ** 3
     assert calls == []
     assert nested.window() == (2, 20) and yq.window() == (2, 11)

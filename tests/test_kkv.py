@@ -257,6 +257,10 @@ def test_ascending_extract_on_rational_rows():
         terms = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for j in range(rng.randint(-5, 2), rng.randint(-2, 6))}
         row = YLaurent(terms)
+        got, alternating = _ascending_extract(row, -8, 9), _ascending_extract(row, -8, 9, True)
         for n in range(-8, 10):
             want = sum((c * (n - j) for j, c in terms.items() if n - j >= 1), Fraction(0))
-            assert _ascending_extract(row, n) == want
+            assert got[n + 8] == want
+            want = sum((c * (-1) ** (n - j - 1) * (n - j) for j, c in terms.items() if n - j >= 1),
+                       Fraction(0))
+            assert alternating[n + 8] == want
