@@ -537,7 +537,7 @@ def _row_dot(pairs, packs, size, div=1):
     for key, r in rows.items():
         if key not in packs:
             packs[key] = [max(map(abs, r.nums), default=0), 0, 0]
-    den = lcm(*(x.den * y.den for x, y in live))
+    den = lcm(*[x.den * y.den for x, y in live])
     bound = sum(den // (x.den * y.den) * min(len(x.nums), len(y.nums))
                 * packs[id(x)][0] * packs[id(y)][0] for x, y in live)
     size = max(size, -(-_slot_bytes(max([bound] + [packs[key][0] for key in rows])) // 4) * 4)
