@@ -141,7 +141,8 @@ def inv_discriminant_yq(order):
     """1/Delta(y, q) with exact symmetric YLaurent coefficients, q^-1..q^order.
 
     The product is _yq_eta_product's log-derivative recurrence with the
-    exponents negated, O(order^2) YLaurent products; no series inversion.
+    exponents negated, one packed dot product per q-coefficient; no series
+    inversion.
     """
     return Series("q", -1, modforms._yq_eta_product(order + 1, -1), order)
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
-from .series import (Series, YLaurent, _cleared, _exp_recurrence, _pack, _slot_bytes, _unpack,
-                     parse_rational, weighted_product)
+from .series import (Series, YLaurent, _cleared, _pack, _power, _row_recurrence, _slot_bytes,
+                     _unpack, parse_rational, weighted_product)
 
 
 class NotQuasimodular(Exception):
@@ -98,8 +98,8 @@ def discriminant_yq(order):
     """The refinement Delta(y,q) = q prod (1-q^n)^20 (1-yq^n)^2 (1-1/y q^n)^2.
 
     Coefficients are exact symmetric YLaurent polynomials, computed by the
-    log-derivative recurrence of _yq_eta_product in O(order^2) YLaurent
-    products.
+    log-derivative recurrence of _yq_eta_product: one packed dot product per
+    q-coefficient.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -122,7 +122,7 @@ def _yq_eta_product(n, sign):
             t = terms[m]
             t[0] += 20 * w
             t[m // d] = t[-(m // d)] = 2 * w
-    return _exp_recurrence([YLaurent(t) for t in terms], n, YLaurent({0: 1}))
+    return _row_recurrence([YLaurent(t) for t in terms], range(n + 1), YLaurent({0: 1}))
 
 
 # the scaled generators C_2, C_4, C_6: series plus exact element
@@ -230,14 +230,7 @@ class QModElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers leave the ring")
-        out = QModElement.unit()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QModElement.unit())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -11,14 +11,15 @@ Coefficients may be int/Fraction, YLaurent, or another Series.  All
 operations stay exact; no coefficient is ever a float.  The kernels run over
 int rows: a YLaurent is a dense list of int numerators over one denominator,
 and the same layout with a window holds a rational q-series, so a scalar
-product is one convolution and series_inv, series_exp and series_log run one
-int recurrence over a running common denominator (_running_recurrence).  A
-two-variable series (u, q) keeps its u-coefficients as windowed rows (or
-exact scalars), and every output row of a two-variable product or exp
-recurrence is one packed big-int dot product (Kronecker substitution,
-_row_dot).  A nested series whose u-coefficients are rational q-Series is
-converted to rows once per call (_rowwise), where an exact scalar zero
-imposes no inner window.
+product is one convolution.  Each ring has one recurrence, which series_inv,
+series_exp, series_log and the eta products run: _running_recurrence over
+int, with a running common denominator, and _row_recurrence over rows (the
+windowed u-coefficients of a (u, q) series, the y-polynomials of a (y, q)
+series), one packed big-int dot product per step (Kronecker substitution,
+_row_dot), as is each output row of a two-variable product.  Powers are one
+square-and-multiply loop (_power).  A nested series whose u-coefficients are
+rational q-Series is converted to rows once per call (_rowwise), where an
+exact scalar zero imposes no inner window.
 """
 
 from __future__ import annotations
@@ -193,8 +194,7 @@ class YLaurent:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return YLaurent._normalized(self.lo, [x * other.numerator for x in self.nums],
-                                        self.den * other.denominator, self.hi if other else None)
+            return _scaled(self, other) if other else YLaurent()
         if not isinstance(other, YLaurent):
             return NotImplemented
         a, b, lo = self.nums, other.nums, self.lo + other.lo
@@ -209,16 +209,7 @@ class YLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse_unit() ** (-n)
-        out = YLaurent({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.inverse_unit() if n < 0 else self, abs(n), YLaurent({0: 1}))
 
     def __eq__(self, other):
         if _is_scalar(other):
@@ -359,20 +350,7 @@ class Series:
     __rmul__ = scale
 
     def __pow__(self, n):
-        if n < 0:
-            return series_inv(self) ** (-n)
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
-        if out is None:
-            return Series.one(self.var, self.order)
-        return out
+        return _power(series_inv(self) if n < 0 else self, abs(n), Series.one(self.var, self.order))
 
     def __eq__(self, other):
         if isinstance(other, Series):
@@ -404,6 +382,19 @@ def _conv(a, b, n):
     la, lb, rb = len(a), len(b), b[::-1]
     return [sum(map(mul, a[max(0, k - lb + 1):k + 1], rb[max(lb - 1 - k, 0):lb + la - 1 - k]))
             for k in range(n)]
+
+
+def _power(base, n, one):
+    """base ** n (n >= 0) by square and multiply, or one when n == 0.  The
+    product starts from the first factor, so no unit factor caps a window."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
 
 
 def _slot_bytes(bound):
@@ -495,6 +486,14 @@ def _unrow(r, var):
     return r.coeff(0) if r.hi is None else _as_series(r, var)
 
 
+def _scaled(c, f):
+    """f c for a nonzero scalar f: a scalar, or a row over the same window."""
+    if _is_scalar(c):
+        return f * c
+    nums = [x * f.numerator for x in c.nums]
+    return YLaurent._normalized(c.lo, nums, c.den * f.denominator, c.hi)
+
+
 def _rowwise(kernel):
     """kernel, adapted to nested series whose coefficients are rational Series.
 
@@ -527,33 +526,62 @@ def _row_dot(pairs, packs, size, div=1):
     slot is at most sum (D / (den_x den_y)) min(len_x, len_y) peak_x peak_y
     (peak: the largest |numerator|), and every packed numerator must fit;
     the width is that bound in whole 4-byte words, never below `size`.  packs
-    maps id(row) to [peak, width, pack] for one call: a row is re-packed only
-    when the width grows.  A pair is certified through min(hi_x + lo_y,
-    hi_y + lo_x), as a YLaurent product is.
+    maps id(row) to [row, peak, width, pack] across the calls of one kernel:
+    a row is re-packed only when the width grows, and the entry keeps its row
+    alive, so no later row can reuse the id.  A pair is certified through
+    min(hi_x + lo_y, hi_y + lo_x), as a YLaurent product is.
     """
     live = [(x, y) for x, y in pairs
             if (x.nums or x.hi is not None) and (y.nums or y.hi is not None)]
     rows = {id(r): r for pair in live for r in pair}
     for key, r in rows.items():
         if key not in packs:
-            packs[key] = [max(map(abs, r.nums), default=0), 0, 0]
+            packs[key] = [r, max(map(abs, r.nums), default=0), 0, 0]
     den = lcm(*[x.den * y.den for x, y in live])
     bound = sum(den // (x.den * y.den) * min(len(x.nums), len(y.nums))
-                * packs[id(x)][0] * packs[id(y)][0] for x, y in live)
-    size = max(size, -(-_slot_bytes(max([bound] + [packs[key][0] for key in rows])) // 4) * 4)
+                * packs[id(x)][1] * packs[id(y)][1] for x, y in live)
+    size = max(size, -(-_slot_bytes(max([bound] + [packs[key][1] for key in rows])) // 4) * 4)
     for key, r in rows.items():
-        if packs[key][1] != size:
-            packs[key][1:] = size, _pack(r.nums, size)
+        if packs[key][2] != size:
+            packs[key][2:] = size, _pack(r.nums, size)
     inf = float("inf")
     hi = min((min(inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
               for x, y in live), default=inf)
     floor = min((x.lo + y.lo for x, y in live), default=0)
     top = max((x.lo + y.lo + len(x.nums) + len(y.nums) - 2 for x, y in live), default=-1)
-    acc = sum(packs[id(x)][2] * (den // (x.den * y.den)) * packs[id(y)][2]
+    acc = sum(packs[id(x)][3] * (den // (x.den * y.den)) * packs[id(y)][3]
               << 8 * size * (x.lo + y.lo - floor) for x, y in live)
     m = min(top, hi) - floor + 1
     return YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den * div,
                                 None if hi == inf else hi), size
+
+
+def _row_recurrence(w, div, first, top=None, unit=None):
+    """p_0..p_{n-1} (n = len(w)): p_0 = first and
+    p_m = unit (top[m] + sum_{j=1..m} w[j] p_{m-j}) / div[m].
+
+    w, top and first hold scalars and YLaurent rows (w[0], top[0] unread),
+    div ints > 0, unit a row or None.  Step m is one packed dot (_row_dot),
+    top[m] paired with the exact row 1; a row unit multiplies the sum in one
+    more dot, so the window is that of unit * sum.  p_m is a scalar when no
+    unit is given and first, top[m] and both factors of each pair whose w[j]
+    is not an exact zero are scalars.
+    """
+    rw = {j: _row(c) for j, c in enumerate(w) if j and not _is_exact_zero(c)}
+    p, rows, packs, size, one = [first], [_row(first)], {}, 1, YLaurent({0: 1})
+    for m in range(1, len(w)):
+        live = [j for j in rw if j <= m]
+        pairs = [(rw[j], rows[m - j]) for j in live]
+        if top is not None:
+            pairs.append((_row(top[m]), one))
+        row, size = _row_dot(pairs, packs, size, div[m])
+        if unit is not None:
+            row, size = _row_dot([(unit, row)], packs, size)
+        rows.append(row)
+        scalar = (unit is None and _is_scalar(first) and (top is None or _is_scalar(top[m]))
+                  and all(_is_scalar(w[j]) and _is_scalar(p[m - j]) for j in live))
+        p.append(row.coeff(0) if scalar else row)
+    return p
 
 
 @_rowwise
@@ -587,22 +615,23 @@ def series_inv(a):
     window honest for Laurent inputs such as q^-1 + 24 + ...  Rational input
     (and every inner row of a nested series) runs YLaurent.inverse_unit: with
     a = q^m (x_0 + x_1 q + ...) / D over int, b_k = -(1/x_0) sum_j x_j b_{k-j}
-    over a running common denominator (_running_recurrence).  Other rings run
-    b_k = -b_0 sum_{j=1..k} a_j b_{k-j}; nested series run it over rows.
+    over a running common denominator (_running_recurrence).  Rows run
+    b_k = -b_0 sum_{j=1..k} a_j b_{k-j} as _row_recurrence: a row b_0 through
+    unit -b_0, a scalar b_0 = N / D folded into w_j = -N a_j and div D.
     """
     if not a.coeffs:
         raise ValueError("cannot invert a series with an empty window")
     m = a.min_exp
     if all(map(_is_scalar, a.coeffs)):
         return _as_series(_row(a).inverse_unit(), a.var)
-    lead = a.coeffs[0]
-    b0 = lead.inverse_unit() if isinstance(lead, YLaurent) else Fraction(1) / lead
-    out = [b0]
-    for k in range(1, len(a.coeffs)):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc = acc + a.coeffs[j] * out[k - j]
-        out.append(-(b0 * acc))
+    lead, n = a.coeffs[0], len(a.coeffs)
+    if isinstance(lead, YLaurent):
+        b0 = lead.inverse_unit()
+        out = _row_recurrence(a.coeffs, [1] * n, b0, unit=-b0)
+    else:
+        b0 = Fraction(1) / lead
+        out = _row_recurrence([_scaled(c, -b0.numerator) for c in a.coeffs],
+                              [b0.denominator] * n, b0)
     return Series(a.var, -m, out, a.order - 2 * m)
 
 
@@ -620,7 +649,7 @@ def series_exp(a):
     no Series product.  Rational input a = x / D runs it over int as
     e_k = sum_j j x_j e_{k-j} / (k D) with a running common denominator
     (_running_recurrence).  Two-variable series run it over rows, one packed
-    dot per step (_exp_recurrence): no inner q-Series and no YLaurent product
+    dot per step (_row_recurrence): no inner q-Series and no YLaurent product
     is built per term.
     """
     if a.min_exp < 1:
@@ -631,10 +660,8 @@ def series_exp(a):
         w = [-j * v for j, v in enumerate(_padded(r, n))]
         nums, den = _running_recurrence(w, [k * r.den for k in range(n)], (1, 1))
         return _as_series(YLaurent._normalized(0, nums, den, a.order), a.var)
-    d = [None] + [j * c if _is_scalar(c) else
-                  YLaurent._normalized(c.lo, [j * x for x in c.nums], c.den, c.hi)
-                  for j, c in ((j, a.coeff(j)) for j in range(1, n))]
-    return Series(a.var, 0, _exp_recurrence(d, a.order, Fraction(1)), a.order)
+    d = [_scaled(a.coeff(j), j) for j in range(n)]
+    return Series(a.var, 0, _row_recurrence(d, range(n), Fraction(1)), a.order)
 
 
 @_rowwise
@@ -645,7 +672,8 @@ def series_log(a):
     k l_k = k a_k - sum_{j=1..k-1} j l_j a_{k-j}: O(order^2) coefficient
     products and no Series product.  Rational input a = x / D (x_0 = D) runs
     b_k = k l_k = (k x_k - sum_j x_j b_{k-j}) / D over int with a running
-    common denominator (_running_recurrence); nested series run over rows.
+    common denominator (_running_recurrence); rows run b_k = k e_k -
+    sum_j e_j b_{k-j} (e = a - 1, b_0 = 0) as _row_recurrence.
     """
     eps = a - 1
     if eps.coeffs and eps.min_exp < 1:
@@ -662,14 +690,9 @@ def series_log(a):
         nums = [v * f // k if k else 0 for k, v in enumerate(b)]
         return _as_series(YLaurent._normalized(0, nums, den * f, order), a.var)
     e = [eps.coeff(k) for k in range(order + 1)]
-    # b[k] = k l_k, the coefficients of var d/dvar log(a)
-    b = [None]
-    for k in range(1, order + 1):
-        acc = k * e[k]
-        for j in range(1, k):
-            acc = acc - b[j] * e[k - j]
-        b.append(acc)
-    coeffs = [Fraction(0)] + [b[k] * Fraction(1, k) for k in range(1, order + 1)]
+    b = _row_recurrence([_scaled(c, -1) for c in e], [1] * (order + 1), Fraction(0),
+                        [_scaled(c, k) for k, c in enumerate(e)])
+    coeffs = [Fraction(0)] + [_scaled(b[k], Fraction(1, k)) for k in range(1, order + 1)]
     return Series(a.var, 0, coeffs, order)
 
 
@@ -699,45 +722,21 @@ def weighted_product(exponents, order, default=0, var="q"):
     exponents maps n to an integer exponent; missing n fall back to default.
     The log-derivative q d/dq log P = -sum_m c_m q^m has c_m = sum_{n|m} n e(n),
     read off a divisor sieve; the coefficients then follow from the integer
-    recurrence m p_m = -sum_{j=1..m} c_j p_{m-j} in O(order^2) operations.
+    recurrence m p_m = -sum_{j=1..m} c_j p_{m-j} in O(order^2) operations
+    (_running_recurrence), whose common denominator must come out 1.
     """
     if order < 0:
         raise ValueError("window does not reach the constant term")
-    d = [0] * (order + 1)
+    c = [0] * (order + 1)
     for n in range(1, order + 1):
         e = exponents.get(n, default)
         if e:
             for m in range(n, order + 1, n):
-                d[m] -= n * e
-    return Series(var, 0, [Fraction(c) for c in _exp_recurrence(d, order, 1)], order)
-
-
-def _exp_recurrence(d, n, one):
-    """p_0..p_n of the series p with p_0 = one and var d/dvar log p = sum d_j var^j.
-
-    Runs m p_m = sum_{j=1..m} d_j p_{m-j}; d[0] is ignored.  Over int (one
-    an int) the division by m is exact (a remainder is an AssertionError).
-    Otherwise d holds scalars and YLaurent rows, and step m is one packed dot
-    over D_m m (_row_dot); p_m stays a scalar when `one` and every pair of
-    step m are scalars.
-    """
-    p = [one]
-    if isinstance(one, int):
-        for m in range(1, n + 1):
-            acc, rem = divmod(sum(map(mul, d[1:m + 1], reversed(p))), m)
-            if rem:
-                raise AssertionError("integer log-derivative recurrence is not exact")
-            p.append(acc)
-        return p
-    rd = {j: _row(d[j]) for j in range(1, n + 1) if not _is_exact_zero(d[j])}
-    rows, packs, size = [_row(one)], {}, 1
-    for m in range(1, n + 1):
-        live = [j for j in rd if j <= m]
-        row, size = _row_dot([(rd[j], rows[m - j]) for j in live], packs, size, m)
-        rows.append(row)
-        scalar = _is_scalar(one) and all(_is_scalar(d[j]) and _is_scalar(p[m - j]) for j in live)
-        p.append(row.coeff(0) if scalar else row)
-    return p
+                c[m] += n * e
+    nums, den = _running_recurrence(c, range(order + 1), (1, 1))
+    if den != 1:
+        raise AssertionError("integer log-derivative recurrence is not exact")
+    return Series(var, 0, [Fraction(v) for v in nums], order)
 
 
 def _w_numerators(p):

@@ -1,22 +1,25 @@
 """Oracles and window-soundness tests for the series kernels.
 
 weighted_product, discriminant_q, discriminant_yq, both inverse
-discriminants, series_exp and series_log all run one recurrence.  The
-references below are the factor-by-factor products and power sums that the
-recurrence replaced, written out here so that no expected value is computed
-through it.  The window tests compute each kernel (these, plus the scalar
-Series product, series_inv and trig_substitute) at a long and a short size,
-compare on the short window, and check that one step past it raises.  The
-coefficient-ring tests hold the dense YLaurent, the fraction-free scalar
-Series product and series_inv, and the nested (u, q) row kernels against
-test-local copies of the dict-of-Fraction YLaurent, the Fraction inverse
-recurrence and the generic coefficient loops they replaced; (y, q) and
-nested products, which multiply packed rows as big ints, are held against
-the generic loop over YLaurent products, and the pack/unpack helpers against
-the plain int convolution at the extremes of their slot bound.  Rational
-series_inv, series_exp and series_log are held against the per-term
-Fraction loops on inputs whose denominators stay small, grow like k!, or
-grow with the index as log outputs do.
+discriminants, series_inv, series_exp and series_log all run one recurrence
+per coefficient ring: _running_recurrence over int, _row_recurrence over
+rows.  The references below are the factor-by-factor products and power
+sums that the recurrences replaced, written out here so that no expected
+value is computed through them.  The window tests compute each kernel
+(these, plus the scalar Series product and trig_substitute) at a long and a
+short size, compare on the short window, and check that one step past it
+raises.  The coefficient-ring tests hold the dense YLaurent, the
+fraction-free scalar Series product and series_inv, and the nested (u, q)
+row kernels against test-local copies of the dict-of-Fraction YLaurent, the
+Fraction inverse recurrence and the generic coefficient loops they
+replaced; (y, q) and nested products, which multiply packed rows as big
+ints, are held against the generic loop over YLaurent products, the row
+recurrence in its exp, inverse and log forms against the per-pair YLaurent
+loops it replaced, and the pack/unpack helpers against the plain int
+convolution at the extremes of their slot bound.  Rational series_inv,
+series_exp and series_log are held against the per-term Fraction loops on
+inputs whose denominators stay small, grow like k!, or grow with the index
+as log outputs do.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import pytest
 from k3series.kkv import (
     _bernoulli_eisenstein,
     _inner_coeff,
+    _transpose_y_rows,
     bps_r_table,
     gw_pairs_check,
     gw_point_factor,
@@ -46,8 +50,9 @@ from k3series.series import (
     Series,
     YLaurent,
     _conv,
-    _exp_recurrence,
     _pack,
+    _row_dot,
+    _row_recurrence,
     _slot_bytes,
     _unpack,
     q_derive,
@@ -318,7 +323,9 @@ def generic_exp(a):
 
 def fraction_log(a):
     """The log recurrence k l_k = k a_k - sum_j j l_j a_{k-j}, one Fraction
-    operation per term: the per-term Fraction loop on rational input."""
+    operation per term: the per-term Fraction loop on rational input, and on
+    rows the per-pair YLaurent loop that series_log ran before its rows went
+    through the packed row recurrence."""
     eps = a - 1
     order = a.order
     if not eps.coeffs:
@@ -336,9 +343,12 @@ def fraction_log(a):
 
 def generic_inv(a):
     """The inverse recurrence b_k = -b_0 sum_{j=1..k} a_j b_{k-j}, one Fraction
-    or Series operation per term: the per-term Fraction loop on rational input."""
+    or Series operation per term: the per-term Fraction loop on rational input,
+    and on rows the per-pair YLaurent loop that series_inv ran before its rows
+    went through the packed row recurrence."""
     lead = a.coeffs[0]
-    b0 = generic_inv(lead) if isinstance(lead, Series) else Fraction(1) / lead
+    b0 = (generic_inv(lead) if isinstance(lead, Series) else lead.inverse_unit()
+          if isinstance(lead, YLaurent) else Fraction(1) / lead)
     out = [b0]
     for k in range(1, len(a.coeffs)):
         acc = Fraction(0)
@@ -1013,7 +1023,8 @@ def test_nested_kernels_match_generic_loop():
         expo = nested_series(rng, rng.randint(1, 2), rng.randint(2, 7), 6, scalars)
         n = rng.randint(1, 3)
         pairs = [(a * b, generic_mul(a, b)), (a ** n, generic_pow(a, n)),
-                 (series_exp(expo), generic_exp(expo))]
+                 (series_exp(expo), generic_exp(expo)), (series_inv(a), generic_inv(a)),
+                 (series_log(1 + expo), fraction_log(1 + expo))]
         for got, want in pairs:
             if scalars:
                 assert_sound(got, got, want)
@@ -1131,7 +1142,7 @@ def test_row_recurrence_matches_ylaurent_loop():
         cases.append((d, [Fraction(1), YLaurent({0: 1}), random_row(rng)][i % 3]))
     for d, one in cases:
         n = len(d) - 1
-        got, want = _exp_recurrence(d, n, one), generic_exp_recurrence(d, n, one)
+        got, want = _row_recurrence(d, range(n + 1), one), generic_exp_recurrence(d, n, one)
         assert len(got) == len(want) == n + 1
         for g, w in zip(got, want):
             assert type(g) is type(w)
@@ -1139,6 +1150,62 @@ def test_row_recurrence_matches_ylaurent_loop():
                 assert (g.lo, g.nums, g.den, g.hi) == (w.lo, w.nums, w.den, w.hi)
             else:
                 assert g == w
+
+
+def unit_row(rng):
+    """An invertible lead for series_inv: a nonzero scalar, or a windowed row
+    with a nonzero first entry, small or of +-(2^b - 1) entries over a wide
+    denominator, certified up to 4 places past its last entry."""
+    if rng.random() < 0.3:
+        return random_rational(rng) or Fraction(-3, 2)
+    lo, size = rng.randint(-2, 2), rng.randint(0, 6)
+    if rng.random() < 0.3:
+        b = rng.choice([7, 64, 200])
+        nums = [rng.choice([-1, 1]) * (2 ** b - 1) for _ in range(size + 1)]
+        den = rng.choice([3, 2 ** 61 - 1, factorial(30)])
+    else:
+        nums = [rng.choice([-1, 1]) * rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(size)]
+        den = rng.randint(1, 12)
+    return YLaurent._normalized(lo, nums, den, lo + size + rng.randint(0, 4))
+
+
+def test_row_recurrence_inv_and_log_forms_match_ylaurent_loops():
+    # series_inv (a row unit -b_0, or a scalar b_0 folded into w and div) and
+    # series_log (a top term k e_k) on rows give the rows of the per-pair
+    # YLaurent loops they replaced: values, windows, denominators and types.
+    # The one typing rule skips an exact zero w_j, as the exp loop does, so
+    # where the inverse loop multiplied an exact YLaurent zero into a scalar
+    # step it may give that step as the equal scalar, not an exact polynomial
+    rng = random.Random(68)
+    for i in range(160):
+        rows = [random_row(rng) for _ in range(rng.randint(0, 8))]
+        if i % 2:
+            a = Series("q", rng.randint(-2, 2), [unit_row(rng)] + rows, None)
+            got, want = series_inv(a), generic_inv(a)
+        else:
+            a = Series("q", 0, [Fraction(1)] + rows, len(rows))
+            got, want = series_log(a), fraction_log(a)
+        assert got.window() == want.window()
+        for g, w in zip(got.coeffs, want.coeffs):
+            assert g == w
+            if isinstance(g, YLaurent):
+                assert (g.lo, g.nums, g.den, g.hi) == (w.lo, w.nums, w.den, w.hi)
+            elif type(g) is not type(w):
+                assert i % 2 and type(g) is Fraction and w.hi is None
+
+
+def test_row_dot_cache_keeps_its_rows():
+    # one packs dict serves every call of a kernel; rows that the caller drops
+    # after a call stay in their entries, so a fresh row never reuses an id
+    # that still maps to another row's pack
+    rng = random.Random(69)
+    packs, size = {}, 1
+    for _ in range(200):
+        x, y = (YLaurent._normalized(rng.randint(-2, 2), [rng.randint(-9, 9) for _ in range(6)],
+                                     rng.randint(1, 5), 8) for _ in range(2))
+        got, size = _row_dot([(x, y)], packs, size)
+        want = x * y
+        assert (got.lo, got.nums, got.den, got.hi) == (want.lo, want.nums, want.den, want.hi)
 
 
 def test_product_rejects_other_coefficients():
@@ -1152,9 +1219,9 @@ def test_product_rejects_other_coefficients():
 
 def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
     # a nested or (y, q) product is one packed big-int product per pair of
-    # rows, never a YLaurent product per pair, and the exp recurrences behind
-    # Delta(y, q), 1/Delta(y, q) and the Hodge series are one packed dot per
-    # step: building them multiplies and adds no YLaurent
+    # rows, never a YLaurent product per pair, and the recurrences behind
+    # Delta(y, q), 1/Delta(y, q), the Hodge series and nested series_inv and
+    # series_log are one packed dot per step: they multiply and add no YLaurent
     calls = []
 
     def counting(name):
@@ -1178,6 +1245,12 @@ def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
     nested, yq = hodge * gw ** 2, inv * pf ** 3
     assert calls == []
     assert nested.window() == (2, 20) and yq.window() == (2, 11)
+    d_u = _transpose_y_rows(discriminant_yq(16), 8, True)
+    hodge_one = Series("u", 0, [Fraction(1)] + [hodge.coeff(j) for j in range(1, 19)], 18)
+    calls.clear()  # the inputs are built; count the kernels alone
+    inv, log = series_inv(d_u), series_log(hodge_one)
+    assert calls == []
+    assert inv.window() == (0, 8) and log.window() == (2, 18)
 
 
 # -- large-N oracles ----------------------------------------------------------
