@@ -4,8 +4,9 @@ Each case renders one output of a generator or table and compares its
 SHA-256 with a digest recorded before the kernels behind it were rewritten:
 the rows of Delta(y, q) and 1/Delta(y, q) through q^60 (each row as its
 (lo, nums, den, hi) fields), the BPS table r_{g,h} through (40, 40), the
-Hodge table R_{g,h} through (20, 20), and both sides of one GW/pairs
-comparison.  A deliberate change to one of these outputs updates its digest
+Hodge table R_{g,h} through (20, 20), both sides of one GW/pairs
+comparison, and every recognized row of the quasimodularity audit at
+(k, g) = (4, 8) as qmod_to_text.  A deliberate change to one of these outputs updates its digest
 in the same change.
 """
 
@@ -15,8 +16,14 @@ import hashlib
 
 import pytest
 
-from k3series.kkv import bps_r_table, gw_pairs_check, hodge_r_table, inv_discriminant_yq
-from k3series.modforms import discriminant_yq
+from k3series.kkv import (
+    bps_r_table,
+    gw_pairs_check,
+    hodge_r_table,
+    inv_discriminant_yq,
+    quasimodularity_audit,
+)
+from k3series.modforms import discriminant_yq, qmod_to_text
 from k3series.series import series_to_text
 
 
@@ -30,6 +37,10 @@ def _both_sides(rep):
     return series_to_text(rep.gw_side) + series_to_text(rep.pairs_side)
 
 
+def _audit_rows(rows):
+    return "".join(f"k={k} g={g}\n" + qmod_to_text(elem) for k, g, elem in rows)
+
+
 CASES = {
     "discriminant_yq(60)": (lambda: _rows(discriminant_yq(60)),
                             "efc2e4d800e4b0581471c38eea6ae66fef24a40c24e989439f5a97a1c5663378"),
@@ -41,6 +52,8 @@ CASES = {
                              "c1a5e47cab8743ba2c0320123572957bdf3eaaa83258b36e96a05f065c22635c"),
     "gw_pairs_check(8,3,40)": (lambda: _both_sides(gw_pairs_check(8, 3, 40)),
                                "02914d4fa5cb86a917e48d7553063dd8ee79a56ca31b1db19c6d0101a502558c"),
+    "quasimodularity_audit(4,8)": (lambda: _audit_rows(quasimodularity_audit(4, 8)),
+                                   "4ec12bfa444a1fd22d60663f8f3f93c67bab2d113bb15bc71e74eceaf93bef42"),
 }
 
 
