@@ -8,9 +8,9 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * Euler characteristics of stable-pairs moduli and their point-constrained
     refinements C^k_{n,h} (point_series_pairs_upto builds k = 0..K at once,
     one point-factor multiplication per k),
-  * the variable change y = -exp(iu) connecting the two sides, kept exact
-    through the symmetric substitution w = y + 1/y -> s^2 - 2 with
-    s = 2 sin(u/2).
+  * the variable change y = -exp(iu) connecting the two sides, exact as
+    the power sums of trig_substitute: [u^2j] of a symmetric row is
+    (-1)^j/(2j)! sum_e (-1)^e c_e e^2j.
 
 Bivariate series are an outer u-Series whose coefficients are windowed
 q-rows (YLaurent rows in q) or exact scalars; all window bookkeeping is
@@ -374,23 +374,23 @@ def gw_point_factor(u_order, q_order):
     Since sum_{d|m} (m/d) d^{2g} = m sigma_{2g-1}(m), the coefficient of
     u^{2g} q^m is (-1)^{g+1} 2 m sigma_{2g-1}(m) / (2g)!.
     """
-    coeffs = []
-    for j in range(2, u_order + 1):
-        if j % 2:
-            coeffs.append(Fraction(0))
-            continue
-        g = j // 2
-        sig = _sigma_table(2 * g - 1, q_order)
-        inner = [_sign(g + 1) * 2 * m * sig[m] for m in range(1, q_order + 1)]
-        coeffs.append(YLaurent._normalized(1, inner, factorial(j), q_order))
+    coeffs = [Fraction(0)] * max(u_order - 1, 0)
+    for j in range(2, u_order + 1, 2):
+        sig = _sigma_table(j - 1, q_order)
+        inner = [_sign(j // 2 + 1) * 2 * m * sig[m] for m in range(1, q_order + 1)]
+        coeffs[j - 2] = YLaurent._normalized(1, inner, factorial(j), q_order)
     return Series("u", 2, coeffs, u_order)
 
 
 def _gw_point_bivariate(k, u_order, q_order):
-    """hodge_r_series * gw_point_factor^k, with margin past (u_order, q_order)."""
-    biv = hodge_r_series(u_order + 2, q_order + 2)
+    """hodge_r_series * gw_point_factor^k, certified through u^u_order, q^q_order.
+
+    Hodge rows reach q^(q_order+1) and u^-2, and power rows start at q^k and
+    u^2k, so for k >= 1 the product reaches q^(q_order+k-1), u^(u_order+2k-2).
+    """
+    biv = hodge_r_series(u_order, q_order)
     if k:
-        biv = biv * gw_point_factor(u_order + 4, q_order + 3) ** k
+        biv = biv * gw_point_factor(u_order + 2, q_order + 1) ** k
     return biv
 
 
@@ -401,7 +401,7 @@ def point_series_gw(k, g_max, h_max):
     and the table of its coefficients at u^{2g-2} q^{h-1}; at k = 0 the
     table coincides with hodge_r_table.
     """
-    biv = _gw_point_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0))
+    biv = _gw_point_bivariate(k, 2 * g_max, max(h_max - 1, 0) + 2)
     return biv, InvariantTable("R", _gh_entries(biv, g_max, h_max), meta={"points": k})
 
 
@@ -411,9 +411,9 @@ def pairs_point_numerators(k, h_max):
     Row h times the ascending expansion of 1/(y - 2 + 1/y) generates
     (-1)^n C^k_{n,h}.
     """
-    prod = inv_discriminant_yq(h_max + 1)
+    prod = inv_discriminant_yq(max(h_max - 1, -1))
     if k:
-        prod = prod * pairs_point_factor(h_max + 2) ** k
+        prod = prod * pairs_point_factor(max(h_max, 1)) ** k
     return _numerator_rows(prod, k, h_max)
 
 
@@ -450,8 +450,8 @@ def point_series_pairs_upto(k_max, n_max, h_max):
     The product for k is the product for k - 1 times the point factor, so
     the whole range costs one multiplication per k.
     """
-    prod = inv_discriminant_yq(h_max + 1)
-    pf = pairs_point_factor(h_max + 2)
+    prod = inv_discriminant_yq(max(h_max - 1, -1))
+    pf = pairs_point_factor(max(h_max, 1))
     entries = {}
     for k in range(0, k_max + 1):
         if k:
@@ -507,19 +507,19 @@ def _inv_s2(order):
 def gw_pairs_check(h, k, u_order):
     """Compare both sides of the variable change y = -exp(iu) at fixed (h, k).
 
-    GW side: the q^{h-1} u-slice of hodge_r_series * gw_point_factor^k.
-    Pairs side: the closed rational form, substituted via w -> s^2 - 2 and
-    divided by s^2.  Exact equality on the common window through u^u_order.
+    GW side: the q^{h-1} u-slice of hodge_r_series * gw_point_factor^k,
+    built through u^u_order and q^max(h-1, 0).  Pairs side: the closed
+    rational form through u^(u_order+2) by trig_substitute, times 1/s^2
+    (from u^-2).  Exact equality on the common window through u^u_order.
     """
-    biv, _ = point_series_gw(k, u_order // 2 + 3, h + 1)
+    biv = _gw_point_bivariate(k, u_order, max(h - 1, 0))
     gw_u = u_slice(biv, h - 1).truncate(u_order)
 
     rows = pairs_point_numerators(k, h)
     # undo the table-facing sign and flip y -> -y:
     # sum_n C^k y^n q^{h-1} = (-1)^k / Delta(-y,q) * PF(-y,q)^k / (y + 2 + 1/y)
     numerator = (rows[h] * Fraction((-1) ** (k + 1))).substitute_neg() * Fraction((-1) ** k)
-    budget = u_order + 4
-    pairs_u = (trig_substitute(numerator, budget) * _inv_s2(budget)).truncate(u_order)
+    pairs_u = (trig_substitute(numerator, u_order + 2) * _inv_s2(u_order + 2)).truncate(u_order)
 
     if min(gw_u.order, pairs_u.order) < u_order:
         raise AssertionError("window bookkeeping error in gw_pairs_check")
@@ -615,7 +615,7 @@ def quasimodularity_audit(k_max, g_max):
     delta = discriminant_q(q_order + 2)
     results = []
     for k in range(0, k_max + 1):
-        biv = _gw_point_bivariate(k, 2 * g_max - 2, q_order + 1)
+        biv = _gw_point_bivariate(k, 2 * g_max, q_order + 3)
         for g in range(0, g_max + 1):
             prod = q_coeff(biv, 2 * g - 2) * delta
             elem = modforms.qmod_recognize(prod.truncate(min(prod.order, q_order)),

@@ -761,15 +761,6 @@ def _w_numerators(p):
     return out, p.den
 
 
-def to_w_basis(p):
-    """Rewrite a symmetric YLaurent as a polynomial in w = y + 1/y.
-
-    Returns the list [b_0, b_1, ...] with p = sum b_d * w^d.
-    """
-    b, den = _w_numerators(p)
-    return [Fraction(x, den) for x in b]
-
-
 def symmetric_to_z(p):
     """Coefficients of a symmetric YLaurent in the basis z^g, z = y - 2 + 1/y.
 
@@ -798,16 +789,25 @@ def sin_half_square(order, multiple=1, var="u"):
 
 
 def trig_substitute(p, order, var="u"):
-    """Substitute y = -e^{iu} (so w = y + 1/y -> s^2 - 2, s = 2 sin(u/2)).
+    """Substitute y = -e^{iu} in a symmetric p = sum_e c_e y^e, exact on [0, order].
 
-    p must be symmetric; the result is an even exact u-series.
+    As y^e = (-1)^e e^{ieu}, [u^2j] = (-1)^j/(2j)! sum_e (-1)^e c_e e^2j: one
+    int power sum over p's numerators per even coefficient.  A non-symmetric
+    p raises ValueError, a negative order PrecisionError.
     """
-    b = to_w_basis(p)
-    base = sin_half_square(order, 1, var) - 2
-    acc = Series.monomial(var, 0, b[-1], order)
-    for d in range(len(b) - 2, -1, -1):
-        acc = acc * base + b[d]
-    return acc.truncate(order)
+    p = _row(p)
+    if not p.is_symmetric():
+        raise ValueError("polynomial is not symmetric under y -> 1/y")
+    if order < 0:
+        raise PrecisionError("window does not reach exponent 0")
+    # at u^j, t_e = (-1)^(e + j/2) c_e e^j and f = j!
+    t, f = p.substitute_neg().nums, 1
+    sq = [-e * e for e in range(p.lo, p.lo + len(t))]
+    coeffs = [Fraction(0)] * (order + 1)
+    for j in range(0, order + 1, 2):
+        coeffs[j] = Fraction(sum(t), p.den * f)
+        t, f = list(map(mul, t, sq)), f * (j + 1) * (j + 2)
+    return Series(var, 0, coeffs, order)
 
 
 def series_to_text(a):

@@ -13,15 +13,25 @@ from fractions import Fraction
 
 import pytest
 
-from k3series.series import Series, YLaurent, series_inv, sin_half_square
+from k3series import kkv
+from k3series.series import (
+    Series,
+    YLaurent,
+    _row,
+    series_inv,
+    sin_half_square,
+    trig_substitute,
+)
 from k3series.kkv import (
     InvariantTable,
     _ascending_extract,
+    _inv_s2,
     bps_r_table,
     bps_transform_check,
     euler_pk,
     format_rational,
     gw_pairs_check,
+    gw_point_factor,
     hodge_r_series,
     hodge_r_table,
     inv_discriminant_q,
@@ -29,6 +39,7 @@ from k3series.kkv import (
     inverse_euler_pk,
     ky_euler_table,
     log_identity_check,
+    pairs_point_factor,
     pairs_signed_Z,
     point_series_gw,
     point_series_pairs,
@@ -207,6 +218,57 @@ def test_gw_pairs_small_grid():
             rep = gw_pairs_check(h, k, 8)
             assert rep.equal, (h, k)
             assert rep.numerator_symmetric, (h, k)
+
+
+def _fields(series):
+    """A Series as (min_exp, order, coefficients); each row by its fields."""
+    return (series.min_exp, series.order,
+            [(c.lo, c.nums, c.den, c.hi) if isinstance(c, YLaurent) else (type(c), c)
+             for c in series.coeffs])
+
+
+def _padded_gw_bivariate(k, u_order, q_order):
+    """Hodge series times the k-th point-factor power, padded past (u_order, q_order)."""
+    biv = hodge_r_series(u_order + 2, q_order + 2)
+    if k:
+        biv = biv * gw_point_factor(u_order + 4, q_order + 3) ** k
+    return biv
+
+
+def test_gw_pairs_sides_match_padded_windows():
+    # each side is built exactly through u^u_order; a padded build agrees there
+    for h in range(0, 8):
+        for k in range(0, 4):
+            prod = inv_discriminant_yq(h + 1)
+            if k:
+                prod = prod * pairs_point_factor(h + 2) ** k
+            numerator = _row(prod.coeff(h - 1)).substitute_neg() * Fraction((-1) ** k)
+            for u in (0, 1, 2, 3, 8, 13):
+                rep = gw_pairs_check(h, k, u)
+                biv, _ = point_series_gw(k, u // 2 + 3, h + 1)
+                gw = kkv.u_slice(biv, h - 1).truncate(u)
+                pairs = (trig_substitute(numerator, u + 4) * _inv_s2(u + 4)).truncate(u)
+                assert rep.gw_side.order == rep.pairs_side.order == u
+                assert _fields(rep.gw_side) == _fields(gw), (h, k, u)
+                assert _fields(rep.pairs_side) == _fields(pairs), (h, k, u)
+                assert rep.equal, (h, k, u)
+
+
+def test_point_and_audit_bivariates_keep_their_windows(monkeypatch):
+    for k in range(0, 3):
+        for g_max, h_max in ((1, 0), (2, 3), (4, 5)):
+            biv, _ = point_series_gw(k, g_max, h_max)
+            want = _padded_gw_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0))
+            assert _fields(biv) == _fields(want), (k, g_max, h_max)
+    built = []
+    exact = kkv._gw_point_bivariate
+    monkeypatch.setattr(kkv, "_gw_point_bivariate",
+                        lambda k, u, q: built.append((k, u, q)) or exact(k, u, q))
+    quasimodularity_audit(2, 3)
+    assert [k for k, _, _ in built] == [0, 1, 2]
+    for k, u, q in built:
+        want = _padded_gw_bivariate(k, u - 2, q - 2)
+        assert _fields(exact(k, u, q)) == _fields(want), (k, u, q)
 
 
 def test_gw_h0_k0_sides_are_inverse_sine_square():

@@ -18,6 +18,7 @@ from k3series.series import (
     PrecisionError,
     Series,
     YLaurent,
+    _w_numerators,
     q_derive,
     series_exp,
     series_from_text,
@@ -26,7 +27,6 @@ from k3series.series import (
     series_to_text,
     sin_half_square,
     symmetric_to_z,
-    to_w_basis,
     trig_substitute,
     weighted_product,
 )
@@ -241,10 +241,10 @@ def test_ylaurent_substitute_neg():
 def test_w_basis_and_z_basis():
     # y^2 + y^-2 = w^2 - 2 = (z + 2)^2 - 2 = z^2 + 4z + 2
     p = YLaurent({2: 1, -2: 1})
-    assert to_w_basis(p) == [Fraction(-2), Fraction(0), Fraction(1)]
+    assert _w_numerators(p) == ([-2, 0, 1], 1)
     assert symmetric_to_z(p) == [Fraction(2), Fraction(4), Fraction(1)]
     with pytest.raises(ValueError):
-        to_w_basis(YLaurent({1: 1}))
+        _w_numerators(YLaurent({1: 1}))
 
 
 def test_sin_half_square_series():
@@ -287,6 +287,42 @@ def test_trig_substitute_base_case():
     got = trig_substitute(YLaurent({1: 1, -1: 1}), 8)
     want = sin_half_square(8) - 2
     assert got == want
+
+
+def horner_trig_substitute(p, order, var="u"):
+    """y = -e^{iu} through w = y + 1/y -> s^2 - 2: a Horner chain of Series products."""
+    b, den = _w_numerators(p)
+    base = sin_half_square(order, 1, var) - 2
+    acc = Series.monomial(var, 0, Fraction(b[-1], den), order)
+    for d in range(len(b) - 2, -1, -1):
+        acc = acc * base + Fraction(b[d], den)
+    return acc.truncate(order)
+
+
+def test_trig_substitute_matches_horner_reference():
+    rng = random.Random(13)
+    for i in range(400):
+        terms = {}
+        if i % 20:
+            for d in range(rng.randint(0, 12) + 1):
+                if rng.random() < 0.8:
+                    terms[d] = terms[-d] = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        p = YLaurent(terms)
+        for order in (i % 27 - 2, rng.randint(-2, 24)):
+            if order < 0:
+                # the reference's w -> s^2 - 2 cannot add 2 below u^0
+                with pytest.raises(PrecisionError):
+                    horner_trig_substitute(p, order)
+                with pytest.raises(PrecisionError):
+                    trig_substitute(p, order)
+                continue
+            got, want = trig_substitute(p, order), horner_trig_substitute(p, order)
+            assert (got.var, got.min_exp, got.order) == (want.var, want.min_exp, want.order)
+            assert got.coeffs == want.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    for bad in (YLaurent({1: 1}), YLaurent({0: 1, 2: 1}), YLaurent({-1: 1, 1: 2})):
+        with pytest.raises(ValueError):
+            trig_substitute(bad, 6)
 
 
 def test_symmetric_to_z_round_trip_random():
