@@ -397,9 +397,9 @@ def _gw_point_bivariate(k, u_order, q_order):
 def point_series_gw(k, g_max, h_max):
     """Gromov-Witten side with k point insertions.
 
-    Returns (bivariate, table): the series hodge_r_series * point_factor^k
-    and the table of its coefficients at u^{2g-2} q^{h-1}; at k = 0 the
-    table coincides with hodge_r_table.
+    Returns (bivariate, table): the series hodge_r_series * point_factor^k,
+    certified at least two u- and q-orders past its table of coefficients
+    at u^{2g-2} q^{h-1}; at k = 0 the table coincides with hodge_r_table.
     """
     biv = _gw_point_bivariate(k, 2 * g_max, max(h_max - 1, 0) + 2)
     return biv, InvariantTable("R", _gh_entries(biv, g_max, h_max), meta={"points": k})
