@@ -245,7 +245,7 @@ def test_gw_pairs_sides_match_padded_windows():
             numerator = _row(prod.coeff(h - 1)).substitute_neg() * Fraction((-1) ** k)
             for u in (0, 1, 2, 3, 8, 13):
                 rep = gw_pairs_check(h, k, u)
-                biv, _ = point_series_gw(k, u // 2 + 3, h + 1)
+                biv = _padded_gw_bivariate(k, 2 * (u // 2) + 4, h)
                 gw = kkv.u_slice(biv, h - 1).truncate(u)
                 pairs = (trig_substitute(numerator, u + 4) * _inv_s2(u + 4)).truncate(u)
                 assert rep.gw_side.order == rep.pairs_side.order == u
