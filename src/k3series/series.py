@@ -800,7 +800,7 @@ def trig_substitute(p, order, var="u"):
         raise ValueError("polynomial is not symmetric under y -> 1/y")
     if order < 0:
         raise PrecisionError("window does not reach exponent 0")
-    # at u^j, t_e = (-1)^(e + j/2) c_e e^j and f = j!
+    # at even j, t_e = (-1)^(e + j/2) e^j den c_e and f = j!
     t, f = p.substitute_neg().nums, 1
     sq = [-e * e for e in range(p.lo, p.lo + len(t))]
     coeffs = [Fraction(0)] * (order + 1)
