@@ -5,17 +5,22 @@ SHA-256 with a digest recorded before the kernels behind it were rewritten:
 the rows of Delta(y, q) and 1/Delta(y, q) through q^60 (each row as its
 (lo, nums, den, hi) fields), the BPS table r_{g,h} through (40, 40), the
 Hodge table R_{g,h} through (20, 20), both sides of one GW/pairs
-comparison, and every recognized row of the quasimodularity audit at
-(k, g) = (4, 8) as qmod_to_text.  A deliberate change to one of these outputs updates its digest
-in the same change.
+comparison, every recognized row of the quasimodularity audit at
+(k, g) = (4, 8) as qmod_to_text, and the JSON report of the vertex audit of
+mu = (3, 2, 1) at excess 3 (495 configurations) as cli.main prints it,
+rendered f"exit={code}\n{stdout}" like the golden CLI corpus.  A deliberate
+change to one of these outputs updates its digest in the same change.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
+from k3series import cli
 from k3series.kkv import (
     bps_r_table,
     gw_pairs_check,
@@ -41,6 +46,13 @@ def _audit_rows(rows):
     return "".join(f"k={k} g={g}\n" + qmod_to_text(elem) for k, g, elem in rows)
 
 
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"exit={code}\n{out.getvalue()}"
+
+
 CASES = {
     "discriminant_yq(60)": (lambda: _rows(discriminant_yq(60)),
                             "efc2e4d800e4b0581471c38eea6ae66fef24a40c24e989439f5a97a1c5663378"),
@@ -54,6 +66,8 @@ CASES = {
                                "02914d4fa5cb86a917e48d7553063dd8ee79a56ca31b1db19c6d0101a502558c"),
     "quasimodularity_audit(4,8)": (lambda: _audit_rows(quasimodularity_audit(4, 8)),
                                    "4ec12bfa444a1fd22d60663f8f3f93c67bab2d113bb15bc71e74eceaf93bef42"),
+    "vertex(3,2,1;3)": (lambda: _cli("vertex", "--mu", "3,2,1", "--excess", "3", "--format", "json"),
+                        "f4d60a2c62b26e4d296321dc9a991781db6c6a4308558e1e7f4c56ae851dd316"),
 }
 
 
