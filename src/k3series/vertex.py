@@ -7,10 +7,22 @@ The vertex series H built from the weight generating functions reduces to an
 exact Laurent polynomial in t1, t2, t3, and its specialized constant term
 (t1 = t, t2 = 1/t, t3 = u; keep t^0 u^0) matches a closed formula in the
 diagonal profiles of the chain.
+
+The weight series is F = N/(1 - t3) with N = G + (1 - t3) L, where G sums
+t1^a t2^b over the boxes of mu and L sums t1^a t2^b t3^k over the boxes of
+rho(k), k < 0; write Nbar = -t3 N(1/t1, 1/t2, 1/t3).  Then H = P/(1 - t3) with
+
+    P = N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3) - B,
+    B = G + Gbar/(t1 t2) - G Gbar (1-t1)(1-t2)/(t1 t2),
+
+so H is a Laurent polynomial exactly when every (a, b) column of P sums to
+zero over c, and then H_{a,b,c} is the sum of P_{a,b,c'} over c' <= c.
+vertex_H and divisibility_audit both certify those column sums.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 
@@ -30,11 +42,7 @@ def normalize_partition(parts):
 
 def boxes(partition):
     """Boxes (a, b) of a Young diagram: b indexes the part, a runs along it."""
-    out = []
-    for b, part in enumerate(partition):
-        for a in range(part):
-            out.append((a, b))
-    return out
+    return [(a, b) for b, part in enumerate(partition) for a in range(part)]
 
 
 def subdiagrams(partition):
@@ -110,12 +118,8 @@ def _contains(outer, inner):
 
 
 def _skew_boxes(outer, inner):
-    out = []
-    for b, part in enumerate(outer):
-        lo = inner[b] if b < len(inner) else 0
-        for a in range(lo, part):
-            out.append((a, b))
-    return out
+    return [(a, b) for b, part in enumerate(outer)
+            for a in range(inner[b] if b < len(inner) else 0, part)]
 
 
 def enumerate_configs(mu, excess):
@@ -128,11 +132,14 @@ def enumerate_configs(mu, excess):
         raise ValueError("excess must be >= 0")
     budget = _size(mu) + excess
     out = []
+    below = {}
 
     def extend(chain, total):
         out.append(BoxConfig(mu, tuple(chain)))
         last = chain[-1]
-        for nu in subdiagrams(last):
+        if last not in below:
+            below[last] = subdiagrams(last)
+        for nu in below[last]:
             if len(chain) == 1 and nu == mu:
                 continue
             deficit = _size(mu) - _size(nu)
@@ -174,15 +181,15 @@ def profile_formula_value(config):
     rs = set()
     for d in d_by_level.values():
         rs.update(d)
-    total = Fraction(0)
-    for r in sorted(rs):
+    total = 0
+    for r in rs:
         square_sum = 0
         for k in range(-m, 1):
             prev = d_by_level.get(k - 1, {}).get(r, 0)
             cur = d_by_level[k].get(r, 0)
             square_sum += (cur - prev) ** 2
-        total += Fraction(d_by_level[0].get(r, 0) ** 2 - square_sum, 2)
-    return Fraction(-c_top.get(0, 0)) + total
+        total += d_by_level[0].get(r, 0) ** 2 - square_sum
+    return Fraction(total, 2) - c_top.get(0, 0)
 
 
 class Laurent3:
@@ -316,48 +323,64 @@ def _div_1mt3(num):
     return out
 
 
-def weight_series_F(config):
-    """Torus-weight generating function of the module encoded by the chain."""
-    m = config.levels()
-    g_num = {(a, b, 0): 1 for (a, b) in boxes(config.mu)}
-    f = Laurent3(g_num, e=1)
-    for k in range(-m, 0):
-        level = {}
-        for (a, b) in config.rho(k):
-            level[(a, b, k)] = 1
-        f = f + Laurent3(level)
-    return f
+def _terms(cells):
+    """N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3) for N over cells (a, b, c)."""
+    out = {}
+    for a, b, c in cells:
+        out[a, b, c] = out.get((a, b, c), 0) + 1
+        out[-a - 1, -b - 1, -c] = out.get((-a - 1, -b - 1, -c), 0) + 1
+    pairs = Counter((a1 - a2, b1 - b2, c1 - c2) for a1, b1, c1 in cells for a2, b2, c2 in cells)
+    for (a, b, c), n in pairs.items():
+        for k, w in (((a - 1, b - 1, c), -n), ((a, b - 1, c), n),
+                     ((a - 1, b, c), n), ((a, b, c), -n)):
+            out[k] = out.get(k, 0) + w
+    return out
 
 
-def weight_series_G(mu):
-    """Weight generating function of the plane profile."""
-    mu = normalize_partition(mu)
-    return Laurent3({(a, b, 0): 1 for (a, b) in boxes(mu)})
+def _bracket(mu):
+    """B as a monomial dict: the terms of N = G."""
+    return _terms([(a, b, 0) for a, b in boxes(mu)])
+
+
+def _numerator(config, bracket):
+    """P = (1 - t3) H as a monomial dict, given B = _bracket(mu).
+
+    N = G + (1 - t3) L puts each box (a, b) of mu at t3^-d, d the number of
+    chain levels that miss it.
+    """
+    p = _terms([(a, b, -sum(b >= len(nu) or a >= nu[b] for nu in config.nus))
+                for a, b in boxes(config.mu)])
+    for k, v in bracket.items():
+        p[k] = p.get(k, 0) - v
+    return p
 
 
 def vertex_H(config):
-    """The vertex Laurent polynomial H(t1, t2, t3) of a box configuration.
+    """The vertex Laurent polynomial H(t1, t2, t3) = P/(1 - t3) of a box configuration.
 
-    H = F - conj(F)/(t1 t2 t3) + F conj(F) prod (1 - ti)/ti
-        - (G + conj(G)/(t1 t2) - G conj(G)(1-t1)(1-t2)/(t1 t2)) / (1 - t3)
-
-    The (1 - t3) denominators always cancel; failure raises NotPolynomial.
+    One exact division by (1 - t3) certifies that every (a, b) column of P
+    sums to zero over c; otherwise it raises NotPolynomial.
     """
-    f = weight_series_F(config)
-    fbar = f.conj()
-    g = weight_series_G(config.mu)
-    gbar = g.conj()
-    shift_all = Laurent3.monomial(-1, -1, -1)
-    shift_12 = Laurent3.monomial(-1, -1, 0)
-    one = Laurent3.monomial(0, 0, 0)
-    t1 = Laurent3.monomial(1, 0, 0)
-    t2 = Laurent3.monomial(0, 1, 0)
-    t3 = Laurent3.monomial(0, 0, 1)
-    k_factor = (one - t1) * (one - t2) * (one - t3) * shift_all
-    bracket = g + gbar * shift_12 - g * gbar * (one - t1) * (one - t2) * shift_12
-    h = f - fbar * shift_all + f * fbar * k_factor - Laurent3.geometric_t3() * bracket
-    h.to_polynomial()
-    return h
+    quotient = _div_1mt3(_numerator(config, _bracket(config.mu)))
+    if quotient is None:
+        raise NotPolynomial("(1 - t3) denominator did not cancel")
+    return Laurent3(quotient)
+
+
+def _specialized_constant(p):
+    """Specialized constant term of H = P/(1 - t3): sum P_{a,a,c} over c <= 0.
+
+    The same pass certifies that every (a, b) column of P sums to zero.
+    """
+    cols = {}
+    total = 0
+    for (a, b, c), v in p.items():
+        cols[a, b] = cols.get((a, b), 0) + v
+        if a == b and c <= 0:
+            total += v
+    if any(cols.values()):
+        raise NotPolynomial("(1 - t3) denominator did not cancel")
+    return Fraction(total)
 
 
 def constant_term_specialized(h):
@@ -377,10 +400,11 @@ def divisibility_audit(mu, excess):
     strictly when the size exceeds |mu|).
     """
     mu = normalize_partition(mu)
+    bracket = _bracket(mu)
     rows = []
     violations = 0
     for config in enumerate_configs(mu, excess):
-        direct = constant_term_specialized(vertex_H(config))
+        direct = _specialized_constant(_numerator(config, bracket))
         formula = profile_formula_value(config)
         strict = config.size > _size(mu)
         ok = (direct == formula) and direct <= 0 and (not strict or direct <= -1)

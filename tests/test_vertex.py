@@ -3,7 +3,9 @@
 The two smallest configurations are verified against fully hand-expanded
 Laurent polynomials; larger ones are checked by comparing the direct
 specialized constant term of H with the closed diagonal-profile formula,
-which is an independent evaluation path.
+which is an independent evaluation path.  H itself is compared with an
+oracle that composes it from Laurent3 arithmetic on the weight series F and
+G, the way vertex_H built it before it divided one numerator by (1 - t3).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3series import vertex
 from k3series.vertex import (
     BoxConfig,
     Laurent3,
@@ -26,8 +29,41 @@ from k3series.vertex import (
     profile_formula_value,
     subdiagrams,
     vertex_H,
-    weight_series_F,
 )
+
+
+def _oracle_F(config):
+    """Torus-weight generating function of the module encoded by the chain."""
+    f = Laurent3({(a, b, 0): 1 for (a, b) in boxes(config.mu)}, e=1)
+    for k in range(-config.levels(), 0):
+        f = f + Laurent3({(a, b, k): 1 for (a, b) in config.rho(k)})
+    return f
+
+
+def _oracle_H(config):
+    """H = F - conj(F)/(t1 t2 t3) + F conj(F) prod (1 - ti)/ti
+         - (G + conj(G)/(t1 t2) - G conj(G)(1-t1)(1-t2)/(t1 t2)) / (1 - t3)
+    composed in Laurent3 arithmetic, G the weight function of the plane profile."""
+    f = _oracle_F(config)
+    fbar = f.conj()
+    g = Laurent3({(a, b, 0): 1 for (a, b) in boxes(config.mu)})
+    gbar = g.conj()
+    shift_all = Laurent3.monomial(-1, -1, -1)
+    shift_12 = Laurent3.monomial(-1, -1, 0)
+    one = Laurent3.monomial(0, 0, 0)
+    t1 = Laurent3.monomial(1, 0, 0)
+    t2 = Laurent3.monomial(0, 1, 0)
+    t3 = Laurent3.monomial(0, 0, 1)
+    k_factor = (one - t1) * (one - t2) * (one - t3) * shift_all
+    bracket = g + gbar * shift_12 - g * gbar * (one - t1) * (one - t2) * shift_12
+    h = f - fbar * shift_all + f * fbar * k_factor - Laurent3.geometric_t3() * bracket
+    h.to_polynomial()
+    return h
+
+
+# the five acceptance shapes at excess 4, the README sizes, and (3, 2, 1) at excess 3
+ORACLE_SWEEP = ([(mu, 4) for mu in [(1,), (2,), (1, 1), (3,), (2, 1)]]
+                + [((2, 1), 3), ((3, 1), 2), ((2, 2), 4), ((3, 2, 1), 3)])
 
 
 def test_normalize_partition():
@@ -98,7 +134,7 @@ def test_laurent3_geometric_denominator():
 
 def test_trivial_cylinder_has_zero_vertex():
     cfg = BoxConfig((1,), ((1,),))
-    F = weight_series_F(cfg)
+    F = _oracle_F(cfg)
     # F = 1/(1 - t3): numerator 1 with one denominator power
     assert F.e == 1 and F.num == {(0, 0, 0): 1}
     H = vertex_H(cfg)
@@ -139,3 +175,44 @@ def test_constant_term_keeps_only_balanced_monomials():
     assert constant_term_specialized(H) == 0
     H = H + Laurent3.monomial(0, 0, 0, 2)
     assert constant_term_specialized(H) == 2
+
+
+@pytest.mark.parametrize("mu,excess", ORACLE_SWEEP,
+                         ids=[f"{''.join(map(str, mu))}-{e}" for mu, e in ORACLE_SWEEP])
+def test_vertex_H_and_audit_match_laurent3_oracle(mu, excess):
+    configs = enumerate_configs(mu, excess)
+    rows = divisibility_audit(mu, excess)["rows"]
+    assert [row["chain"] for row in rows] == [[list(nu) for nu in c.nus] for c in configs]
+    for cfg, row in zip(configs, rows):
+        oracle = _oracle_H(cfg)
+        h = vertex_H(cfg)
+        assert h == oracle and h.e == 0, cfg
+        assert row["direct"] == constant_term_specialized(oracle), cfg
+
+
+def test_perturbed_numerator_raises_not_polynomial(monkeypatch):
+    exact = vertex._numerator
+
+    def perturbed(config, bracket):
+        p = exact(config, bracket)
+        key = next(iter(p))
+        p[key] += 1
+        return p
+
+    monkeypatch.setattr(vertex, "_numerator", perturbed)
+    with pytest.raises(NotPolynomial):
+        vertex_H(BoxConfig((2, 1), ((2, 1), (1,))))
+    with pytest.raises(NotPolynomial):
+        divisibility_audit((2, 1), 2)
+
+
+def test_audit_builds_no_laurent3(monkeypatch):
+    expected = divisibility_audit((2, 2), 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Laurent3 arithmetic on the audit path")
+
+    monkeypatch.setattr(vertex, "Laurent3", forbidden)
+    monkeypatch.setattr(vertex, "_div_1mt3", forbidden)
+    assert divisibility_audit((2, 2), 2) == expected
+
