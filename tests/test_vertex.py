@@ -4,8 +4,8 @@ The two smallest configurations are verified against fully hand-expanded
 Laurent polynomials; larger ones are checked by comparing the direct
 specialized constant term of H with the closed diagonal-profile formula,
 which is an independent evaluation path.  H itself is compared with an
-oracle that composes it from Laurent3 arithmetic on the weight series F and
-G, the way vertex_H built it before it divided one numerator by (1 - t3).
+oracle that composes it in Laurent3 arithmetic from the weight series F and
+G, without the numerator P that vertex_H divides by (1 - t3).
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ def _oracle_F(config):
 
 
 def _oracle_H(config):
-    """H = F - conj(F)/(t1 t2 t3) + F conj(F) prod (1 - ti)/ti
-         - (G + conj(G)/(t1 t2) - G conj(G)(1-t1)(1-t2)/(t1 t2)) / (1 - t3)
-    composed in Laurent3 arithmetic, G the weight function of the plane profile."""
+    """H composed in Laurent3 arithmetic from F and the plane-profile series G:
+
+    H = F - conj(F)/(t1 t2 t3) + F conj(F) prod (1 - ti)/ti
+        - (G + conj(G)/(t1 t2) - G conj(G)(1-t1)(1-t2)/(t1 t2)) / (1 - t3)
+    """
     f = _oracle_F(config)
     fbar = f.conj()
     g = Laurent3({(a, b, 0): 1 for (a, b) in boxes(config.mu)})
@@ -215,4 +217,3 @@ def test_audit_builds_no_laurent3(monkeypatch):
     monkeypatch.setattr(vertex, "Laurent3", forbidden)
     monkeypatch.setattr(vertex, "_div_1mt3", forbidden)
     assert divisibility_audit((2, 2), 2) == expected
-
