@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -43,6 +44,7 @@ from k3series.kkv import (
     pairs_signed_Z,
     point_series_gw,
     point_series_pairs,
+    point_series_pairs_upto,
     quasimodularity_audit,
     signed_euler_table,
 )
@@ -326,3 +328,100 @@ def test_ascending_extract_on_rational_rows():
             want = sum((c * (-1) ** (n - j - 1) * (n - j) for j, c in terms.items() if n - j >= 1),
                        Fraction(0))
             assert alternating[n + 8] == want
+
+
+def _clear_kkv_caches():
+    """Clear every lru_cache of kkv, so a run builds its products from scratch."""
+    for obj in list(vars(kkv).values()):
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
+@pytest.mark.parametrize("ks", [list(range(7)), [6] + list(range(6))])
+def test_point_products_equal_powered_products(ks):
+    # both point-insertion products equal the base times the k-th power of
+    # their point factor, field by field, whatever order k is asked in
+    _clear_kkv_caches()
+    for u_order, q_order in ((0, 0), (2, 1), (6, 3), (10, 5)):
+        hodge = hodge_r_series(u_order, q_order)
+        pf = gw_point_factor(u_order + 2, q_order + 1)
+        for k in ks:
+            want = hodge * pf ** k if k else hodge
+            got = kkv._gw_point_bivariate(k, u_order, q_order)
+            assert _fields(got) == _fields(want), (k, u_order, q_order)
+    for h in (0, 1, 3, 6):
+        inv = inv_discriminant_yq(max(h - 1, -1))
+        pf = pairs_point_factor(max(h, 1))
+        for k in ks:
+            want = kkv._numerator_rows(inv * pf ** k if k else inv, k, h)
+            got = kkv.pairs_point_numerators(k, h)
+            assert list(want) == list(range(h + 1))
+            assert ({j: (r.lo, r.nums, r.den, r.hi) for j, r in got.items()}
+                    == {j: (r.lo, r.nums, r.den, r.hi) for j, r in want.items()}), (k, h)
+
+
+def test_point_series_pairs_upto_merges_each_k():
+    for k_max, n_max, h_max in ((0, 3, 0), (4, 3, 2), (6, 5, 3)):
+        merged = point_series_pairs_upto(k_max, n_max, h_max).entries
+        want = {}
+        for k in range(k_max + 1):
+            want.update(point_series_pairs(k, n_max, h_max).entries)
+        assert merged == want
+
+
+def test_inv_discriminant_yq_rows_match_a_fresh_recurrence():
+    # orders asked high first, then low, then higher again: every series is
+    # the one a fresh recurrence at its own order gives, field by field
+    _clear_kkv_caches()
+    for order in (9, 4, -1, 0, 9, 12, 6):
+        want = Series("q", -1, kkv.modforms._yq_eta_product(order + 1, -1), order)
+        assert _fields(inv_discriminant_yq(order)) == _fields(want), order
+
+
+def _fraction_euler_pk(c_table, k, n, h):
+    """euler_pk as a running Fraction sum, the reference for the int sum."""
+    m_top = n + 2 * h - 1
+    if k > m_top:
+        return Fraction(0)
+    sign = Fraction((-1) ** (m_top - k))
+    if k == 0:
+        return sign * Fraction(c_table.value(0, n, h))
+    acc = Fraction(0)
+    for i in range(0, m_top - k + 1):
+        acc += Fraction((-1) ** i * comb(i + k - 1, k - 1)) * c_table.value(k + i, n, h)
+    return sign * acc
+
+
+def _fraction_inverse_euler_pk(e_values, k, n, h):
+    """inverse_euler_pk as a Fraction back substitution, the reference."""
+    m_top = n + 2 * h - 1
+    c = {}
+    for j in range(m_top, k - 1, -1):
+        val = Fraction((-1) ** (m_top - j)) * Fraction(e_values[(j, n, h)])
+        if j:
+            for i in range(1, m_top - j + 1):
+                val -= Fraction((-1) ** i * comb(i + j - 1, j - 1)) * c[j + i]
+        c[j] = val
+    return c[k]
+
+
+def test_euler_sums_match_fraction_sums():
+    # rational and integral inputs, ints and Fractions: values and types agree
+    rng = random.Random(15)
+    for n, h in ((1, 0), (0, 2), (3, 1), (2, 3), (-1, 2)):
+        m_top = n + 2 * h - 1
+        for rational in (False, True):
+            c = {(j, n, h): Fraction(rng.randint(-50, 50), rng.randint(1, 9) if rational else 1)
+                 for j in range(m_top + 1)}
+            c[(0, n, h)] = rng.randint(-9, 9)  # a plain int entry
+            ct = InvariantTable("C_point", c)
+            e_vals = {}
+            for k in range(0, m_top + 3):
+                got, want = euler_pk(ct, k, n, h), _fraction_euler_pk(ct, k, n, h)
+                assert (type(got), got) == (type(want), want), (k, n, h)
+                e_vals[(k, n, h)] = got
+            for k in range(0, m_top + 1):
+                got = inverse_euler_pk(e_vals, k, n, h)
+                want = _fraction_inverse_euler_pk(e_vals, k, n, h)
+                assert (type(got), got) == (type(want), want), (k, n, h)
+                assert got == c[(k, n, h)]

@@ -443,6 +443,40 @@ def test_monomial_columns_are_ints_equal_to_eisenstein_products():
         _monomial_coeffs(1, 0, 0, -1)
 
 
+def _fraction_expand(elem, order):
+    """qmod_expand as a sum of Fraction-scaled monomial series, the reference
+    for the int column sum."""
+    return sum((v * Series("q", 0, _monomial_coeffs(*key, order), order)
+                for key, v in elem.sorted_terms()), Series.zero("q", order))
+
+
+def _typed_fields(series):
+    return series.min_exp, series.order, [(type(c), c) for c in series.coeffs]
+
+
+def test_expansion_matches_fraction_sum():
+    # values, windows and coefficient types agree with the Fraction sum,
+    # including a zero element, a pure constant and cancelling coefficients
+    rng = random.Random(15)
+    elems = [QModElement(), QModElement.unit(), Fraction(5, 3) * QModElement.unit(),
+             QModElement({(1, 0, 0): Fraction(1, 240), (0, 1, 0): Fraction(-1, 240)}),
+             QModElement({(2, 0, 0): 1, (0, 1, 0): -1})]
+    for weight in (2, 8, 12):
+        elems.append(QModElement({key: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                                  for key in weight_basis(weight)}))
+        elems.append(QModElement({key: rng.randint(-9, 9) for key in weight_basis(weight)}))
+    for elem in elems:
+        for order in (-1, 0, 24):
+            if order < 0 and not elem.is_zero():
+                with pytest.raises(ValueError):
+                    _fraction_expand(elem, order)
+                with pytest.raises(ValueError):
+                    qmod_expand(elem, order)
+                continue
+            want = _fraction_expand(elem, order)
+            assert _typed_fields(qmod_expand(elem, order)) == _typed_fields(want), (elem, order)
+
+
 def test_recognition_runs_without_series_products(monkeypatch):
     def forbidden(*args):
         raise AssertionError("recognition fell back to a series product or power")
