@@ -186,17 +186,14 @@ def _suite_points(args, lines):
 
 def _suite_gwpt(args, lines):
     ok = True
-    for k in range(0, args.kmax + 1):
-        for h in range(0, args.hmax + 1):
-            rep = kkv.gw_pairs_check(h, k, args.uorder)
-            detail = None
-            bad_u = first_mismatch(rep.gw_side, rep.pairs_side)
-            if bad_u is not None:
-                detail = f"first mismatch at u^{bad_u}"
-            elif not rep.numerator_symmetric:
-                detail = "numerator not symmetric"
-            ok &= _note(lines, f"gw_pairs_h{h}_k{k}",
-                        rep.equal and rep.numerator_symmetric, detail)
+    for (h, k), rep in kkv.gw_pairs_grid(args.hmax, args.kmax, args.uorder).items():
+        detail = None
+        bad_u = first_mismatch(rep.gw_side, rep.pairs_side)
+        if bad_u is not None:
+            detail = f"first mismatch at u^{bad_u}"
+        elif not rep.numerator_symmetric:
+            detail = "numerator not symmetric"
+        ok &= _note(lines, f"gw_pairs_h{h}_k{k}", rep.equal and rep.numerator_symmetric, detail)
     return ok
 
 

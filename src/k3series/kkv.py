@@ -6,8 +6,8 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * the integer BPS table r_{g,h} (z-basis coefficients of 1/Delta(y,q)),
   * the rational Hodge integral table R_{g,h} (a bivariate exp formula),
   * Euler characteristics of stable-pairs moduli and their point-constrained
-    refinements C^k_{n,h} (point_series_pairs_upto builds k = 0..K at once,
-    one point-factor multiplication per k),
+    refinements C^k_{n,h} (each point-insertion product is a running chain,
+    one point-factor multiplication per k, on both sides of gw_pairs_grid),
   * the variable change y = -exp(iu) connecting the two sides, exact as
     the power sums of trig_substitute: [u^2j] of a symmetric row is
     (-1)^j/(2j)! sum_e (-1)^e c_e e^2j.
@@ -28,6 +28,7 @@ from .series import (
     PrecisionError,
     Series,
     YLaurent,
+    _cleared,
     _row,
     _unrow,
     series_exp,
@@ -137,14 +138,24 @@ def inv_discriminant_q(order):
 
 
 @lru_cache(maxsize=None)
+def _yq_rows():
+    """The rows q^-1, q^0, ... of 1/Delta(y, q) computed so far."""
+    return []
+
+
+@lru_cache(maxsize=None)
 def inv_discriminant_yq(order):
     """1/Delta(y, q) with exact symmetric YLaurent coefficients, q^-1..q^order.
 
     The product is _yq_eta_product's log-derivative recurrence with the
     exponents negated, one packed dot product per q-coefficient; no series
-    inversion.
+    inversion.  The rows are exact y-polynomials, so a lower order reads a
+    prefix of the longest run so far.
     """
-    return Series("q", -1, modforms._yq_eta_product(order + 1, -1), order)
+    rows = _yq_rows()
+    if order < -1 or len(rows) < order + 2:  # below q^-1 the recurrence raises
+        rows[:] = modforms._yq_eta_product(order + 1, -1)
+    return Series("q", -1, rows[:order + 2], order)
 
 
 def bps_r_table(g_max, h_max):
@@ -382,16 +393,35 @@ def gw_point_factor(u_order, q_order):
     return Series("u", 2, coeffs, u_order)
 
 
+@lru_cache(maxsize=None)
+def _gw_chain(u_order, q_order):
+    """(steps built so far, factor) of hodge_r_series * gw_point_factor^k."""
+    return [hodge_r_series(u_order, q_order)], lambda: gw_point_factor(u_order + 2, q_order + 1)
+
+
+@lru_cache(maxsize=None)
+def _pairs_chain(h_max):
+    """(steps built so far, factor) of (1/Delta(y,q)) * pairs_point_factor^k, rows h <= h_max."""
+    return [inv_discriminant_yq(max(h_max - 1, -1))], lambda: pairs_point_factor(max(h_max, 1))
+
+
+def _steps(k, chain, factor):
+    """Steps 0..k of a point-insertion chain; each missing step is the last
+    one built times factor(), so every k costs one product."""
+    if k < 0:
+        raise ValueError("the number of point insertions must be >= 0")
+    while len(chain) <= k:
+        chain.append(chain[-1] * factor())
+    return chain[:k + 1]
+
+
 def _gw_point_bivariate(k, u_order, q_order):
     """hodge_r_series * gw_point_factor^k, certified through u^u_order, q^q_order.
 
-    Hodge rows reach q^(q_order+1) and u^-2, and power rows start at q^k and
-    u^2k, so for k >= 1 the product reaches q^(q_order+k-1), u^(u_order+2k-2).
+    Hodge rows reach q^(q_order+1) and u^-2, and factor rows start at q^1 and
+    u^2, so for k >= 1 step k reaches q^(q_order+k-1), u^(u_order+2k-2).
     """
-    biv = hodge_r_series(u_order, q_order)
-    if k:
-        biv = biv * gw_point_factor(u_order + 2, q_order + 1) ** k
-    return biv
+    return _steps(k, *_gw_chain(u_order, q_order))[k]
 
 
 def point_series_gw(k, g_max, h_max):
@@ -406,20 +436,13 @@ def point_series_gw(k, g_max, h_max):
 
 
 def pairs_point_numerators(k, h_max):
-    """Rows [q^{h-1}] of (-1)^{k+1} (1/Delta(y,q)) point_factor(y,q)^k.
+    """Rows [q^{h-1}] of (-1)^{k+1} (1/Delta(y,q)) point_factor(y,q)^k, h <= h_max,
+    asserted symmetric.
 
     Row h times the ascending expansion of 1/(y - 2 + 1/y) generates
     (-1)^n C^k_{n,h}.
     """
-    prod = inv_discriminant_yq(max(h_max - 1, -1))
-    if k:
-        prod = prod * pairs_point_factor(max(h_max, 1)) ** k
-    return _numerator_rows(prod, k, h_max)
-
-
-def _numerator_rows(prod, k, h_max):
-    """Rows [q^{h-1}] of (-1)^{k+1} prod for h <= h_max, asserted symmetric."""
-    sign = Fraction((-1) ** (k + 1))
+    prod, sign = _steps(k, *_pairs_chain(h_max))[k], Fraction((-1) ** (k + 1))
     rows = {}
     for h in range(0, h_max + 1):
         row = _row(prod.coeff(h - 1)) * sign
@@ -429,34 +452,20 @@ def _numerator_rows(prod, k, h_max):
     return rows
 
 
-def _c_point_entries(rows, k, n_max):
-    """Entries (k, n, h) -> C^k_{n,h} read off the numerator rows."""
-    entries = {}
-    for h, row in rows.items():
-        for n, v in _ascending_values(row, h, n_max):
-            entries[(k, n, h)] = -v if n % 2 else v
-    return entries
-
-
 def point_series_pairs(k, n_max, h_max):
     """Stable-pairs side with k point insertions: the table C^k_{n,h}."""
-    entries = _c_point_entries(pairs_point_numerators(k, h_max), k, n_max)
+    entries = {}
+    for h, row in pairs_point_numerators(k, h_max).items():
+        for n, v in _ascending_values(row, h, n_max):
+            entries[(k, n, h)] = -v if n % 2 else v
     return InvariantTable("C_point", entries, meta={"points": k})
 
 
 def point_series_pairs_upto(k_max, n_max, h_max):
-    """The tables C^k_{n,h} for k = 0..k_max, merged into one table.
-
-    The product for k is the product for k - 1 times the point factor, so
-    the whole range costs one multiplication per k.
-    """
-    prod = inv_discriminant_yq(max(h_max - 1, -1))
-    pf = pairs_point_factor(max(h_max, 1))
+    """The tables C^k_{n,h} for k = 0..k_max, merged into one table."""
     entries = {}
     for k in range(0, k_max + 1):
-        if k:
-            prod = prod * pf
-        entries.update(_c_point_entries(_numerator_rows(prod, k, h_max), k, n_max))
+        entries.update(point_series_pairs(k, n_max, h_max).entries)
     return InvariantTable("C_point", entries)
 
 
@@ -464,39 +473,37 @@ def euler_pk(c_table, k, n, h):
     """Euler characteristic of the moduli of pairs with k point constraints.
 
     e(P^k_n(S,h)) = (-1)^{n+2h-1-k} sum_{i>=0} (-1)^i C(i+k-1, k-1) C^{k+i}_{n,h},
-    the sum running while k+i <= n+2h-1.
+    the sum running while k+i <= n+2h-1, over int numerators with one
+    common denominator.
     """
     m_top = n + 2 * h - 1
     if k > m_top:
         return Fraction(0)
-    sign = Fraction(_sign(m_top - k))
     if k == 0:
-        return sign * Fraction(c_table.value(0, n, h))
-    acc = Fraction(0)
-    for i in range(0, m_top - k + 1):
-        acc += Fraction(_sign(i) * comb(i + k - 1, k - 1)) * c_table.value(k + i, n, h)
-    return sign * acc
+        return _sign(m_top) * Fraction(c_table.value(0, n, h))
+    nums, den = _cleared([c_table.value(k + i, n, h) for i in range(m_top - k + 1)])
+    acc = sum(_sign(i) * comb(i + k - 1, k - 1) * c for i, c in enumerate(nums))
+    return Fraction(_sign(m_top - k) * acc, den)
 
 
 def inverse_euler_pk(e_values, k, n, h):
     """Invert euler_pk: recover C^k_{n,h} from e(P^j_n(S,h)), j = k..n+2h-1.
 
     e_values maps (j, n, h) to the Euler characteristics; the linear system
-    is triangular from the top index down.
+    is triangular from the top index down, solved over int numerators with
+    the common denominator of the e-values.
     """
     m_top = n + 2 * h - 1
     if k > m_top:
         raise ValueError("k exceeds n + 2h - 1")
+    nums, den = _cleared([e_values[(j, n, h)] for j in range(k, m_top + 1)])
     c = {}
     for j in range(m_top, k - 1, -1):
-        val = Fraction(_sign(m_top - j)) * Fraction(e_values[(j, n, h)])
-        if j == 0:
-            c[j] = val
-            continue
-        for i in range(1, m_top - j + 1):
-            val -= Fraction(_sign(i) * comb(i + j - 1, j - 1)) * c[j + i]
-        c[j] = val
-    return c[k]
+        c[j] = _sign(m_top - j) * nums[j - k]
+        if j:
+            c[j] -= sum(_sign(i) * comb(i + j - 1, j - 1) * c[j + i]
+                        for i in range(1, m_top - j + 1))
+    return Fraction(c[k], den)
 
 
 @lru_cache(maxsize=None)
@@ -512,23 +519,34 @@ def gw_pairs_check(h, k, u_order):
     rational form through u^(u_order+2) by trig_substitute, times 1/s^2
     (from u^-2).  Exact equality on the common window through u^u_order.
     """
-    biv = _gw_point_bivariate(k, u_order, max(h - 1, 0))
-    gw_u = u_slice(biv, h - 1).truncate(u_order)
+    return _correspondence(h, k, u_order, _gw_point_bivariate(k, u_order, max(h - 1, 0)),
+                           pairs_point_numerators(k, h)[h])
 
-    rows = pairs_point_numerators(k, h)
+
+def gw_pairs_grid(h_max, k_max, u_order):
+    """{(h, k): gw_pairs_check(h, k, u_order)} for k <= k_max, then h <= h_max,
+    read off one chain per side at its largest window: the GW bivariate through
+    q^max(h_max-1, 0), the pairs rows through row h_max (exact, so equal)."""
+    grid = {}
+    for k, biv in enumerate(_steps(k_max, *_gw_chain(u_order, max(h_max - 1, 0)))):
+        rows = pairs_point_numerators(k, h_max)
+        for h in range(h_max + 1):
+            grid[h, k] = _correspondence(h, k, u_order, biv, rows[h])
+    return grid
+
+
+def _correspondence(h, k, u_order, biv, row):
+    """The report at (h, k) from a GW bivariate through q^(h-1) and pairs numerator row h."""
+    gw_u = u_slice(biv, h - 1).truncate(u_order)
     # undo the table-facing sign and flip y -> -y:
     # sum_n C^k y^n q^{h-1} = (-1)^k / Delta(-y,q) * PF(-y,q)^k / (y + 2 + 1/y)
-    numerator = (rows[h] * Fraction((-1) ** (k + 1))).substitute_neg() * Fraction((-1) ** k)
+    numerator = (row * Fraction((-1) ** (k + 1))).substitute_neg() * Fraction((-1) ** k)
     pairs_u = (trig_substitute(numerator, u_order + 2) * _inv_s2(u_order + 2)).truncate(u_order)
 
     if min(gw_u.order, pairs_u.order) < u_order:
         raise AssertionError("window bookkeeping error in gw_pairs_check")
-    return CorrespondenceReport(
-        h=h, k=k, u_order=u_order,
-        gw_side=gw_u, pairs_side=pairs_u,
-        numerator_symmetric=numerator.is_symmetric(),
-        equal=(gw_u == pairs_u),
-    )
+    return CorrespondenceReport(h=h, k=k, u_order=u_order, gw_side=gw_u, pairs_side=pairs_u,
+                                numerator_symmetric=numerator.is_symmetric(), equal=gw_u == pairs_u)
 
 
 @dataclass

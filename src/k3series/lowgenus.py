@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import first_mismatch, q_derive
 from .modforms import QModElement, c_form, qmod_derive, qmod_expand
 from . import kkv
 
 
+@lru_cache(maxsize=None)
 def _forms():
-    """Every ring element behind the low-genus identities, by name.
+    """Every ring element behind the low-genus identities, by name (shared).
 
     R1..R3 are Delta times the Hodge rows sum_h R_{g,h} q^{h-1}; a key that
     names a strata identity holds Delta times its right-hand side.
@@ -110,8 +112,10 @@ def _over_delta(elem, q_order):
     return (qmod_expand(elem, q_order + 2) * kkv.inv_discriminant_q(q_order + 1)).truncate(q_order)
 
 
-def _identity(name, q_order, forms):
+@lru_cache(maxsize=None)
+def _identity(name, q_order):
     """(name, ok, first mismatching q-exponent or None) for one identity."""
+    forms = _forms()
     kind, *spec = _IDENTITIES[name]
     ring_ok = True
     if kind == "rule":
@@ -144,8 +148,7 @@ def identity_details(q_order=30):
     The exponent entry is None when the identity holds; otherwise it is the
     first q-exponent where the two sides disagree, for error reporting.
     """
-    forms = _forms()
-    return [_identity(name, q_order, forms) for name in _IDENTITIES]
+    return [_identity(name, q_order) for name in _IDENTITIES]
 
 
 def identity_checks(q_order=30):
@@ -182,7 +185,7 @@ def boundary_R(genus, h_max, q_order=30):
     closed_name, weights = _BOUNDARY[genus]
     closed = forms[closed_name]
     q_check = max(q_order, h_max + 2)
-    strata = [_identity(name, q_check, forms)[:2] for name, _ in weights]
+    strata = [_identity(name, q_check)[:2] for name, _ in weights]
     combo = sum((weight * forms[name] for name, weight in weights), QModElement())
     if combo != closed:
         raise AssertionError(f"genus-{genus} strata do not combine to the closed form")

@@ -272,9 +272,13 @@ def _monomial_coeffs(a, b, c, order):
 
 
 def qmod_expand(elem, order):
-    """Expand an element of Q[E2,E4,E6] into a certified q-series."""
-    return sum((v * Series("q", 0, _monomial_coeffs(*key, order), order)
-                for key, v in elem.sorted_terms()), Series.zero("q", order))
+    """Expand an element of Q[E2,E4,E6] into a certified q-series: the int monomial
+    columns summed over the coefficients' common denominator, one Fraction each."""
+    nums, den = _cleared(list(elem.terms.values()))
+    acc = [0] * (order + 1)
+    for key, c in zip(elem.terms, nums):
+        acc = [a + c * x for a, x in zip(acc, _monomial_coeffs(*key, order))]
+    return Series("q", 0, [Fraction(x, den) for x in acc], order)
 
 
 def qmod_derive(elem):

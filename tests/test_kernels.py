@@ -33,8 +33,11 @@ import pytest
 
 from k3series.kkv import (
     _bernoulli_eisenstein,
+    _gw_chain,
     _inner_coeff,
+    _pairs_chain,
     _transpose_y_rows,
+    _yq_rows,
     bps_r_table,
     gw_pairs_check,
     gw_point_factor,
@@ -539,6 +542,7 @@ def test_kernels_run_without_series_products(monkeypatch):
     monkeypatch.setattr(k3series.kkv, "series_inv", forbidden)
     inv_discriminant_q.cache_clear()
     inv_discriminant_yq.cache_clear()
+    _yq_rows.cache_clear()  # else the recurrence is read from an earlier run
     a = Series("q", 1, [Fraction(1, n) for n in range(1, 21)], 20)
     for run in (lambda: weighted_product({2: -3}, 40, default=24),
                 lambda: discriminant_q(40), lambda: inv_discriminant_q(40),
@@ -595,8 +599,8 @@ def test_nested_kernels_build_no_inner_series(monkeypatch):
         if event == "call" and (name == "_unrow" or name == "_row" and caller.f_code is run_code):
             converted.append(name)
 
-    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, gw_point_factor,
-                   pairs_point_factor):
+    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, _yq_rows,
+                   gw_point_factor, pairs_point_factor, _gw_chain, _pairs_chain):
         cached.cache_clear()
     sys.setprofile(profile)
     try:
@@ -1236,8 +1240,8 @@ def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(YLaurent, name, counting(name))
-    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, gw_point_factor,
-                   pairs_point_factor):
+    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, _yq_rows,
+                   gw_point_factor, pairs_point_factor):
         cached.cache_clear()
     built = (hodge_r_series(18, 9), discriminant_yq(30), inv_discriminant_yq(30))
     assert calls == []

@@ -353,11 +353,80 @@ def test_point_products_equal_powered_products(ks):
         inv = inv_discriminant_yq(max(h - 1, -1))
         pf = pairs_point_factor(max(h, 1))
         for k in ks:
-            want = kkv._numerator_rows(inv * pf ** k if k else inv, k, h)
+            prod = inv * pf ** k if k else inv
+            want = {j: _row(prod.coeff(j - 1)) * Fraction((-1) ** (k + 1)) for j in range(h + 1)}
             got = kkv.pairs_point_numerators(k, h)
             assert list(want) == list(range(h + 1))
             assert ({j: (r.lo, r.nums, r.den, r.hi) for j, r in got.items()}
                     == {j: (r.lo, r.nums, r.den, r.hi) for j, r in want.items()}), (k, h)
+
+
+def _report_fields(rep):
+    return (rep.h, rep.k, rep.u_order, _fields(rep.gw_side), _fields(rep.pairs_side),
+            rep.numerator_symmetric, rep.equal)
+
+
+@pytest.mark.parametrize("h_max, k_max, u_order", [(4, 2, 12), (7, 3, 13), (8, 3, 40), (0, 1, 3)])
+def test_gw_pairs_grid_equals_each_check(h_max, k_max, u_order):
+    # the grid reads every report off the largest windows; each equals the
+    # report built at its own windows, field by field
+    _clear_kkv_caches()
+    grid = kkv.gw_pairs_grid(h_max, k_max, u_order)
+    assert sorted(grid) == [(h, k) for h in range(h_max + 1) for k in range(k_max + 1)]
+    _clear_kkv_caches()
+    for (h, k), rep in grid.items():
+        want = gw_pairs_check(h, k, u_order)
+        assert _report_fields(rep) == _report_fields(want), (h, k)
+        assert rep.equal and rep.numerator_symmetric, (h, k)
+
+
+def _count_point_products(run):
+    """(GW, pairs): the products run() makes from cold caches in which a
+    point factor takes part, directly or through an earlier such product."""
+    made, counts = {}, {"gw": 0, "pairs": 0}  # id -> (side, object kept alive)
+    plain_mul = Series.__mul__
+
+    def counting_mul(self, other):
+        out = plain_mul(self, other)
+        for side in {made[id(x)][0] for x in (self, other) if id(x) in made}:
+            counts[side] += 1
+            made[id(out)] = side, out
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for side, name in (("gw", "gw_point_factor"), ("pairs", "pairs_point_factor")):
+            def recording(*args, side=side, plain=getattr(kkv, name)):
+                out = plain(*args)
+                made[id(out)] = side, out
+                return out
+            mp.setattr(kkv, name, recording)
+        mp.setattr(Series, "__mul__", counting_mul)
+        _clear_kkv_caches()
+        run()
+    return counts["gw"], counts["pairs"]
+
+
+def test_point_chains_make_one_product_per_k():
+    # a power pf ** k would add a product per squaring on top of base * pf^k
+    assert _count_point_products(lambda: kkv.gw_pairs_grid(4, 2, 12)) == (2, 2)
+    assert _count_point_products(lambda: quasimodularity_audit(2, 3)) == (2, 0)
+    # asking k = 6 first builds every step once; asking again builds nothing
+    assert _count_point_products(
+        lambda: [kkv._gw_point_bivariate(k, 4, 2) for k in (6, 2, 6, 0)]
+        + [kkv.pairs_point_numerators(k, 3) for k in (5, 1, 5)]) == (6, 5)
+
+
+def test_negative_point_count_raises():
+    _clear_kkv_caches()
+    for run in (lambda: gw_pairs_check(2, -1, 4), lambda: point_series_pairs(-1, 4, 2),
+                lambda: point_series_gw(-1, 2, 2), lambda: kkv.gw_pairs_grid(2, -1, 4),
+                lambda: kkv.pairs_point_numerators(-1, 2),
+                lambda: kkv._gw_point_bivariate(-1, 4, 2)):
+        with pytest.raises(ValueError, match="point insertions"):
+            run()
+    # an empty range of counts is no error
+    assert point_series_pairs_upto(-1, 0, 0).entries == {}
+    assert quasimodularity_audit(-1, 2) == []
 
 
 def test_point_series_pairs_upto_merges_each_k():
