@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3series import lowgenus
 from k3series.modforms import qmod_expand
 from k3series.lowgenus import (
     boundary_R,
@@ -61,6 +62,18 @@ def test_boundary_matches_hodge_rows():
         assert rep.matches_kkv, genus
         for name, flag in rep.intermediate_checks:
             assert flag, name
+
+
+def test_boundary_reuses_identity_details():
+    # the appendixB suite's order: boundary_R reads its six strata identities
+    # off what identity_details checked, and the ring forms are built once
+    lowgenus._forms.cache_clear()
+    lowgenus._identity.cache_clear()
+    identity_details(24)
+    for genus in (1, 2, 3):
+        assert boundary_R(genus, 10, 24).matches_kkv, genus
+    assert lowgenus._identity.cache_info().misses == 11
+    assert lowgenus._forms.cache_info().misses == 1
 
 
 def test_boundary_genus_one_closed_form():
