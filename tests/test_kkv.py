@@ -380,6 +380,26 @@ def test_gw_pairs_grid_equals_each_check(h_max, k_max, u_order):
         assert rep.equal and rep.numerator_symmetric, (h, k)
 
 
+# the (h, k, u) points of the benchmark's yq-session gw_pairs_check grid
+YQ_GRID = [(3, 0, 8), (4, 0, 12), (4, 1, 8), (5, 1, 12), (6, 2, 8), (7, 2, 12), (5, 3, 8)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_gw_pairs_checks_do_not_depend_on_the_order_asked(order):
+    # one session asks every grid point in turn; each report equals the one
+    # a cold call builds, whatever windows the session built before it
+    cold = {}
+    for point in YQ_GRID:
+        _clear_kkv_caches()
+        cold[point] = _report_fields(gw_pairs_check(*point))
+    points = sorted(YQ_GRID, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(3).shuffle(points)
+    _clear_kkv_caches()
+    for point in points:
+        assert _report_fields(gw_pairs_check(*point)) == cold[point], point
+
+
 def _count_point_products(run):
     """(GW, pairs): the products run() makes from cold caches in which a
     point factor takes part, directly or through an earlier such product."""
