@@ -7,7 +7,8 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * the rational Hodge integral table R_{g,h} (a bivariate exp formula),
   * Euler characteristics of stable-pairs moduli and their point-constrained
     refinements C^k_{n,h} (each point-insertion product is a running chain,
-    one point-factor multiplication per k, on both sides of gw_pairs_grid),
+    one point-factor multiplication per k, grown to the largest window asked
+    for so far; a smaller window reads a prefix of it),
   * the variable change y = -exp(iu) connecting the two sides, exact as
     the power sums of trig_substitute: [u^2j] of a symmetric row is
     (-1)^j/(2j)! sum_e (-1)^e c_e e^2j.
@@ -394,34 +395,56 @@ def gw_point_factor(u_order, q_order):
 
 
 @lru_cache(maxsize=None)
-def _gw_chain(u_order, q_order):
-    """(steps built so far, factor) of hodge_r_series * gw_point_factor^k."""
-    return [hodge_r_series(u_order, q_order)], lambda: gw_point_factor(u_order + 2, q_order + 1)
+def _gw_chain(u_order):
+    """[q_order, steps, factor] of hodge_r_series * gw_point_factor^k at u_order."""
+    return []
 
 
 @lru_cache(maxsize=None)
-def _pairs_chain(h_max):
-    """(steps built so far, factor) of (1/Delta(y,q)) * pairs_point_factor^k, rows h <= h_max."""
-    return [inv_discriminant_yq(max(h_max - 1, -1))], lambda: pairs_point_factor(max(h_max, 1))
+def _pairs_chain():
+    """[h_max, steps, factor] of (1/Delta(y,q)) * pairs_point_factor^k."""
+    return []
 
 
-def _steps(k, chain, factor):
-    """Steps 0..k of a point-insertion chain; each missing step is the last
-    one built times factor(), so every k costs one product."""
+def _step(k, chain, window, base, factor):
+    """Step k of a point-insertion chain through `window` or past it: the chain
+    is rebuilt at `window` only when that exceeds its own, and each missing
+    step is the last one times the factor, so every k costs one product."""
     if k < 0:
         raise ValueError("the number of point insertions must be >= 0")
-    while len(chain) <= k:
-        chain.append(chain[-1] * factor())
-    return chain[:k + 1]
+    if not chain or chain[0] < window:
+        chain[:] = window, [base(window)], lambda: factor(window)
+    while len(chain[1]) <= k:
+        chain[1].append(chain[1][-1] * chain[2]())
+    return chain[1][k]
+
+
+def _gw_step(k, u_order, q_order):
+    """Step k of the GW chain at u_order, through q^q_order or past it."""
+    return _step(k, _gw_chain(u_order), q_order, lambda q: hodge_r_series(u_order, q),
+                 lambda q: gw_point_factor(u_order + 2, q + 1))
+
+
+def _pairs_step(k, h_max):
+    """Step k of the pairs chain, exact in every row h <= h_max."""
+    return _step(k, _pairs_chain(), h_max, lambda h: inv_discriminant_yq(max(h - 1, -1)),
+                 lambda h: pairs_point_factor(max(h, 1)))
 
 
 def _gw_point_bivariate(k, u_order, q_order):
     """hodge_r_series * gw_point_factor^k, certified through u^u_order, q^q_order.
 
     Hodge rows reach q^(q_order+1) and u^-2, and factor rows start at q^1 and
-    u^2, so for k >= 1 step k reaches q^(q_order+k-1), u^(u_order+2k-2).
+    u^2, so for k >= 1 step k reaches q^(q_order+k-1), u^(u_order+2k-2).  The
+    rows of a longer chain reach as much further in q, and are cut back.
     """
-    return _steps(k, *_gw_chain(u_order, q_order))[k]
+    step = _gw_step(k, u_order, q_order)
+    cut = _gw_chain(u_order)[0] - q_order
+    if not cut:
+        return step
+    rows = [r if r.hi is None else YLaurent._normalized(
+        r.lo, r.nums[:max(r.hi - cut - r.lo + 1, 0)], r.den, r.hi - cut) for r in step.coeffs]
+    return Series("u", step.min_exp, rows, step.order)
 
 
 def point_series_gw(k, g_max, h_max):
@@ -442,7 +465,7 @@ def pairs_point_numerators(k, h_max):
     Row h times the ascending expansion of 1/(y - 2 + 1/y) generates
     (-1)^n C^k_{n,h}.
     """
-    prod, sign = _steps(k, *_pairs_chain(h_max))[k], Fraction((-1) ** (k + 1))
+    prod, sign = _pairs_step(k, h_max), Fraction((-1) ** (k + 1))
     rows = {}
     for h in range(0, h_max + 1):
         row = _row(prod.coeff(h - 1)) * sign
@@ -518,35 +541,26 @@ def gw_pairs_check(h, k, u_order):
     built through u^u_order and q^max(h-1, 0).  Pairs side: the closed
     rational form through u^(u_order+2) by trig_substitute, times 1/s^2
     (from u^-2).  Exact equality on the common window through u^u_order.
+    Both sides read the longest chain so far, whose extra rows change nothing.
     """
-    return _correspondence(h, k, u_order, _gw_point_bivariate(k, u_order, max(h - 1, 0)),
-                           pairs_point_numerators(k, h)[h])
-
-
-def gw_pairs_grid(h_max, k_max, u_order):
-    """{(h, k): gw_pairs_check(h, k, u_order)} for k <= k_max, then h <= h_max,
-    read off one chain per side at its largest window: the GW bivariate through
-    q^max(h_max-1, 0), the pairs rows through row h_max (exact, so equal)."""
-    grid = {}
-    for k, biv in enumerate(_steps(k_max, *_gw_chain(u_order, max(h_max - 1, 0)))):
-        rows = pairs_point_numerators(k, h_max)
-        for h in range(h_max + 1):
-            grid[h, k] = _correspondence(h, k, u_order, biv, rows[h])
-    return grid
-
-
-def _correspondence(h, k, u_order, biv, row):
-    """The report at (h, k) from a GW bivariate through q^(h-1) and pairs numerator row h."""
-    gw_u = u_slice(biv, h - 1).truncate(u_order)
-    # undo the table-facing sign and flip y -> -y:
-    # sum_n C^k y^n q^{h-1} = (-1)^k / Delta(-y,q) * PF(-y,q)^k / (y + 2 + 1/y)
-    numerator = (row * Fraction((-1) ** (k + 1))).substitute_neg() * Fraction((-1) ** k)
+    gw_u = u_slice(_gw_step(k, u_order, max(h - 1, 0)), h - 1).truncate(u_order)
+    # flip y -> -y: sum_n C^k y^n q^{h-1} = (-1)^k / Delta(-y,q) * PF(-y,q)^k / (y + 2 + 1/y)
+    numerator = _row(_pairs_step(k, h).coeff(h - 1)).substitute_neg() * Fraction((-1) ** k)
     pairs_u = (trig_substitute(numerator, u_order + 2) * _inv_s2(u_order + 2)).truncate(u_order)
 
     if min(gw_u.order, pairs_u.order) < u_order:
         raise AssertionError("window bookkeeping error in gw_pairs_check")
     return CorrespondenceReport(h=h, k=k, u_order=u_order, gw_side=gw_u, pairs_side=pairs_u,
                                 numerator_symmetric=numerator.is_symmetric(), equal=gw_u == pairs_u)
+
+
+def gw_pairs_grid(h_max, k_max, u_order):
+    """{(h, k): gw_pairs_check(h, k, u_order)} for k <= k_max, then h <= h_max,
+    once each side's chain is grown to the largest window of the grid."""
+    _gw_step(k_max, u_order, max(h_max - 1, 0))
+    _pairs_step(k_max, h_max)
+    return {(h, k): gw_pairs_check(h, k, u_order)
+            for k in range(k_max + 1) for h in range(h_max + 1)}
 
 
 @dataclass
@@ -628,7 +642,7 @@ def quasimodularity_audit(k_max, g_max):
     quasimodularity.
     """
     w_max = 2 * g_max + 2 * k_max
-    dim = len(modforms.weight_basis(w_max))
+    dim = modforms.basis_size(w_max)
     q_order = dim + 8
     delta = discriminant_q(q_order + 2)
     results = []

@@ -315,6 +315,12 @@ def weight_basis(max_weight):
     return out
 
 
+def basis_size(max_weight):
+    """len(weight_basis(max_weight)), without listing it: the triples of weight
+    2n are the partitions of n into parts 1, 2, 3, round((n + 3)^2 / 12) many."""
+    return sum(((n + 3) ** 2 + 6) // 12 for n in range(max_weight // 2 + 1))
+
+
 # 61-bit primes, tried in order; a prime that fakes a rank deficit is skipped
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
 
@@ -475,11 +481,10 @@ def qmod_recognize(f, max_weight):
         raise ValueError("recognition expects a q-series")
     if f.coeffs and f.min_exp < 0:
         raise ValueError("series has a pole; multiply by the discriminant first")
+    n_rows, dim = max(f.order + 1, 0), basis_size(max_weight)
+    if n_rows < dim + 5:
+        raise InsufficientPrecision(f"need at least {dim + 5} certified coefficients, have {n_rows}")
     basis = weight_basis(max_weight)
-    n_rows = max(f.order + 1, 0)
-    if n_rows < len(basis) + 5:
-        raise InsufficientPrecision(
-            f"need at least {len(basis) + 5} certified coefficients, have {n_rows}")
     columns = [_monomial_coeffs(*key, f.order) for key in basis]
     sol = _solve_exact(columns, [f.coeff(k) for k in range(n_rows)], n_rows)
     return QModElement(dict(zip(basis, sol)))

@@ -83,9 +83,14 @@ class BoxConfig:
                 raise ValueError("chain must be weakly decreasing")
         if len(nus) > 1 and nus[1] == mu:
             raise ValueError("redundant leading level (chain not canonical)")
-        self.mu = mu
-        self.nus = nus
-        self.size = sum(_size(mu) - _size(n) for n in nus)
+        self.mu, self.nus, self.size = mu, nus, sum(_size(mu) - _size(n) for n in nus)
+
+    @classmethod
+    def _trusted(cls, mu, nus, size):
+        """A chain that is valid and canonical by construction, with its size."""
+        out = object.__new__(cls)
+        out.mu, out.nus, out.size = mu, nus, size
+        return out
 
     def levels(self):
         return len(self.nus)
@@ -135,7 +140,7 @@ def enumerate_configs(mu, excess):
     below = {}
 
     def extend(chain, total):
-        out.append(BoxConfig(mu, tuple(chain)))
+        out.append(BoxConfig._trusted(mu, tuple(chain), total))
         last = chain[-1]
         if last not in below:
             below[last] = subdiagrams(last)
@@ -197,25 +202,16 @@ class Laurent3:
 
     num maps exponent triples (a, b, c) to nonzero integers; e is kept
     minimal by cancelling (1 - t3) factors eagerly, so e == 0 certifies an
-    honest Laurent polynomial.
+    honest Laurent polynomial.  It is the result type of vertex_H, which
+    reads H off the numerator P without Laurent3 arithmetic.
     """
 
     __slots__ = ("num", "e")
 
-    def __init__(self, num=None, e=0, reduce=True):
+    def __init__(self, num=None, e=0):
         self.num = {k: v for k, v in (num or {}).items() if v}
         self.e = e
-        if reduce:
-            self._reduce()
-
-    @classmethod
-    def monomial(cls, a, b, c, coeff=1):
-        return cls({(a, b, c): coeff})
-
-    @classmethod
-    def geometric_t3(cls):
-        """1 / (1 - t3)."""
-        return cls({(0, 0, 0): 1}, e=1)
+        self._reduce()
 
     def _reduce(self):
         while self.e > 0:
@@ -224,46 +220,6 @@ class Laurent3:
                 return
             self.num = quotient
             self.e -= 1
-
-    def __add__(self, other):
-        if not isinstance(other, Laurent3):
-            return NotImplemented
-        e = max(self.e, other.e)
-        a = _mul_pow_1mt3(self.num, e - self.e)
-        for k, v in _mul_pow_1mt3(other.num, e - other.e).items():
-            s = a.get(k, 0) + v
-            if s:
-                a[k] = s
-            else:
-                a.pop(k, None)
-        return Laurent3(a, e)
-
-    def __neg__(self):
-        return Laurent3({k: -v for k, v in self.num.items()}, self.e, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Laurent3):
-            return NotImplemented
-        out = {}
-        for (a1, b1, c1), v1 in self.num.items():
-            for (a2, b2, c2), v2 in other.num.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Laurent3(out, self.e + other.e)
-
-    def conj(self):
-        """Invert all three variables; stays in normal form."""
-        num = {(-a, -b, -c): v for (a, b, c), v in self.num.items()}
-        sign = -1 if self.e % 2 else 1
-        shifted = {(a, b, c + self.e): sign * v for (a, b, c), v in num.items()}
-        return Laurent3(shifted, self.e)
 
     def __eq__(self, other):
         if not isinstance(other, Laurent3):
@@ -281,22 +237,6 @@ class Laurent3:
         body = " + ".join(bits) if bits else "0"
         tail = f" / (1-t3)^{self.e}" if self.e else ""
         return f"Laurent3({body}{tail})"
-
-
-def _mul_pow_1mt3(num, p):
-    """Multiply a monomial dict by (1 - t3)^p, p >= 0."""
-    out = dict(num)
-    for _ in range(p):
-        nxt = {}
-        for (a, b, c), v in out.items():
-            for k, w in (((a, b, c), v), ((a, b, c + 1), -v)):
-                s = nxt.get(k, 0) + w
-                if s:
-                    nxt[k] = s
-                else:
-                    nxt.pop(k, None)
-        out = nxt
-    return out
 
 
 def _div_1mt3(num):

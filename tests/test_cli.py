@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,21 @@ def test_recognize_insufficient_precision_exit_5(capsys, tmp_path):
     path.write_text(series_to_text(eisenstein(4, 8)))
     code, _ = run_cli(capsys, "recognize", str(path), "--weight-max", "8")
     assert code == 5
+
+
+def test_recognize_huge_weight_on_short_file_exits_5_quickly(capsys, tmp_path):
+    # the basis is counted, not listed, before the precision check: listing it
+    # at weight 5000 would take about 4e8 triples
+    path = tmp_path / "short.txt"
+    path.write_text(series_to_text(eisenstein(4, 3)))
+    t0 = time.perf_counter()
+    code = main(["recognize", str(path), "--weight-max", "5000"])
+    elapsed = time.perf_counter() - t0
+    m = 2500  # triples (a, b, c) with a + 2b + 3c <= m, counted over b and c
+    dim = sum(m - 3 * c - 2 * b + 1 for c in range(m // 3 + 1) for b in range((m - 3 * c) // 2 + 1))
+    assert code == 5 and elapsed < 0.2, elapsed
+    assert capsys.readouterr().err == (
+        f"insufficient precision: need at least {dim + 5} certified coefficients, have 4\n")
 
 
 def test_recognize_delta_pole(capsys, tmp_path):

@@ -436,6 +436,20 @@ def test_point_chains_make_one_product_per_k():
         + [kkv.pairs_point_numerators(k, 3) for k in (5, 1, 5)]) == (6, 5)
 
 
+def test_smaller_windows_read_the_longest_chains():
+    # once the largest window is built, each smaller h at the same u and k is
+    # read off the chains built for it: no point product, no second factor
+    def run():
+        gw_pairs_check(7, 2, 12)
+        for h in range(3, 7):
+            gw_pairs_check(h, 2, 12)
+    gw_point_factor.cache_clear()  # _count_point_products wraps the factors, so
+    pairs_point_factor.cache_clear()  # its cache clearing does not reach them
+    assert _count_point_products(run) == (2, 2)
+    for cached in (hodge_r_series, gw_point_factor, pairs_point_factor):
+        assert cached.cache_info().misses == 1, cached
+
+
 def test_negative_point_count_raises():
     _clear_kkv_caches()
     for run in (lambda: gw_pairs_check(2, -1, 4), lambda: point_series_pairs(-1, 4, 2),

@@ -125,6 +125,12 @@ def test_weight_basis_dimensions():
     assert len(weight_basis(12)) == 23
 
 
+def test_basis_size_counts_the_listed_basis():
+    # odd and negative weights included: the count is that of the list
+    for weight in range(-5, 121):
+        assert modforms.basis_size(weight) == len(weight_basis(weight)), weight
+
+
 def test_qmod_derive_matches_series_derivative():
     rng = random.Random(5)
     gens = [QModElement.generator(w) for w in (2, 4, 6)]

@@ -17,7 +17,6 @@ import pytest
 from k3series import vertex
 from k3series.vertex import (
     BoxConfig,
-    Laurent3,
     NotPolynomial,
     boxes,
     constant_term_specialized,
@@ -30,6 +29,77 @@ from k3series.vertex import (
     subdiagrams,
     vertex_H,
 )
+
+
+class Laurent3(vertex.Laurent3):
+    """vertex.Laurent3 with the ring operations the oracle composes H in."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, a, b, c, coeff=1):
+        return cls({(a, b, c): coeff})
+
+    @classmethod
+    def geometric_t3(cls):
+        """1 / (1 - t3)."""
+        return cls({(0, 0, 0): 1}, e=1)
+
+    def __add__(self, other):
+        if not isinstance(other, vertex.Laurent3):
+            return NotImplemented
+        e = max(self.e, other.e)
+        a = _mul_pow_1mt3(self.num, e - self.e)
+        for k, v in _mul_pow_1mt3(other.num, e - other.e).items():
+            s = a.get(k, 0) + v
+            if s:
+                a[k] = s
+            else:
+                a.pop(k, None)
+        return Laurent3(a, e)
+
+    def __neg__(self):
+        return Laurent3({k: -v for k, v in self.num.items()}, self.e)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, vertex.Laurent3):
+            return NotImplemented
+        out = {}
+        for (a1, b1, c1), v1 in self.num.items():
+            for (a2, b2, c2), v2 in other.num.items():
+                k = (a1 + a2, b1 + b2, c1 + c2)
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return Laurent3(out, self.e + other.e)
+
+    def conj(self):
+        """Invert all three variables; stays in normal form."""
+        num = {(-a, -b, -c): v for (a, b, c), v in self.num.items()}
+        sign = -1 if self.e % 2 else 1
+        shifted = {(a, b, c + self.e): sign * v for (a, b, c), v in num.items()}
+        return Laurent3(shifted, self.e)
+
+
+def _mul_pow_1mt3(num, p):
+    """Multiply a monomial dict by (1 - t3)^p, p >= 0."""
+    out = dict(num)
+    for _ in range(p):
+        nxt = {}
+        for (a, b, c), v in out.items():
+            for k, w in (((a, b, c), v), ((a, b, c + 1), -v)):
+                s = nxt.get(k, 0) + w
+                if s:
+                    nxt[k] = s
+                else:
+                    nxt.pop(k, None)
+        out = nxt
+    return out
 
 
 def _oracle_F(config):
@@ -113,6 +183,16 @@ def test_enumeration_budget_and_order():
     assert all(c.size <= 1 + 3 for c in configs)
     with pytest.raises(ValueError):
         enumerate_configs((1,), -1)
+
+
+def test_enumerated_configs_equal_public_constructions():
+    # the enumeration builds its chains without re-validating them; the public
+    # constructor, which checks everything, rebuilds each one unchanged
+    for mu, excess in ORACLE_SWEEP + [((), 3)]:
+        for cfg in enumerate_configs(mu, excess):
+            public = BoxConfig(list(cfg.mu) + [0], [list(nu) for nu in cfg.nus])
+            assert (public.mu, public.nus, public.size) == (cfg.mu, cfg.nus, cfg.size), cfg
+            assert type(public.nus) is type(cfg.nus) is tuple
 
 
 def test_laurent3_mul_and_conj():
