@@ -528,3 +528,50 @@ def test_euler_sums_match_fraction_sums():
                 want = _fraction_inverse_euler_pk(e_vals, k, n, h)
                 assert (type(got), got) == (type(want), want), (k, n, h)
                 assert got == c[(k, n, h)]
+
+
+def _oracle_transform(g_max, h_max):
+    """The transform check as Fraction series: per h, sum_g r_{g,h} s^{2g-2} as
+    scaled powers of s^2, compared with the R_{g,h} series on u^-2 .. u^{2 g_max - 2}."""
+    u_order = 2 * g_max - 2
+    budget = 2 * g_max + 2
+    r_tab = kkv.bps_r_table(g_max, h_max)
+    big_tab = kkv.hodge_r_table(g_max, h_max)
+    s2 = sin_half_square(budget)
+    powers = {-1: _inv_s2(u_order), 0: Series.one("u", budget)}
+    for g in range(2, g_max + 1):
+        powers[g - 1] = powers[g - 2] * s2
+    mismatches = []
+    for h in range(0, h_max + 1):
+        lhs = Series.zero("u", u_order, -2)
+        for g in range(0, g_max + 1):
+            if r_tab.value(g, h):
+                lhs = lhs + r_tab.value(g, h) * powers[g - 1]
+        rhs = Series("u", -2, [big_tab.value((j + 2) // 2, h) if j % 2 == 0 else Fraction(0)
+                               for j in range(-2, u_order + 1)], u_order)
+        assert min(lhs.order, rhs.order) >= u_order
+        if lhs != rhs:
+            mismatches.append(h)
+    return kkv.TransformReport(g_max, h_max, u_order, not mismatches, mismatches)
+
+
+@pytest.mark.parametrize("g_max,h_max", [(0, 0), (1, 3), (4, 4), (8, 8), (12, 6)])
+def test_transform_check_matches_series_oracle(g_max, h_max):
+    rep = bps_transform_check(g_max, h_max)
+    assert rep == _oracle_transform(g_max, h_max)
+    assert rep.equal and rep.u_order == 2 * g_max - 2
+
+
+def test_transform_check_reports_a_forged_hodge_entry(monkeypatch):
+    exact = kkv.hodge_r_table
+
+    def forged(g_max, h_max):
+        table = exact(g_max, h_max)
+        entries = dict(table.entries)
+        entries[(2, 3)] += Fraction(1, 7)
+        return InvariantTable("R", entries)
+
+    monkeypatch.setattr(kkv, "hodge_r_table", forged)
+    rep = bps_transform_check(4, 5)
+    assert rep == _oracle_transform(4, 5)
+    assert not rep.equal and rep.mismatches == [3]

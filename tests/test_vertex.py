@@ -10,6 +10,7 @@ G, without the numerator P that vertex_H divides by (1 - t3).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -297,3 +298,57 @@ def test_audit_builds_no_laurent3(monkeypatch):
     monkeypatch.setattr(vertex, "Laurent3", forbidden)
     monkeypatch.setattr(vertex, "_div_1mt3", forbidden)
     assert divisibility_audit((2, 2), 2) == expected
+
+
+def _oracle_formula(config):
+    """The profile formula level by level, over the box lists of rho(k)."""
+    m = config.levels()
+    d_by_level = {k: profile_d(config.rho(k)) for k in range(-m, 1)}
+    rs = set()
+    for d in d_by_level.values():
+        rs.update(d)
+    total = 0
+    for r in rs:
+        square_sum = 0
+        for k in range(-m, 1):
+            prev = d_by_level.get(k - 1, {}).get(r, 0)
+            square_sum += (d_by_level[k].get(r, 0) - prev) ** 2
+        total += d_by_level[0].get(r, 0) ** 2 - square_sum
+    return Fraction(total, 2) - profile_c(config.rho(-1)).get(0, 0)
+
+
+def _oracle_terms(cells):
+    """N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3), pairs counted by Counter."""
+    out = Counter()
+    for a, b, c in cells:
+        out[a, b, c] += 1
+        out[-a - 1, -b - 1, -c] += 1
+    pairs = Counter((a1 - a2, b1 - b2, c1 - c2) for a1, b1, c1 in cells for a2, b2, c2 in cells)
+    for (a, b, c), n in pairs.items():
+        out[a - 1, b - 1, c] -= n
+        out[a, b - 1, c] += n
+        out[a - 1, b, c] += n
+        out[a, b, c] -= n
+    return out
+
+
+def _oracle_numerator(config):
+    """P = N-terms minus G-terms, each box of mu at t3^-(levels that miss it)."""
+    depth = [(a, b, -sum(b >= len(nu) or a >= nu[b] for nu in config.nus))
+             for a, b in boxes(config.mu)]
+    p = _oracle_terms(depth)
+    p.subtract(_oracle_terms([(a, b, 0) for a, b in boxes(config.mu)]))
+    return {k: v for k, v in p.items() if v}
+
+
+@pytest.mark.parametrize("mu,excess", ORACLE_SWEEP,
+                         ids=[f"{''.join(map(str, mu))}-{e}" for mu, e in ORACLE_SWEEP])
+def test_profile_formula_and_numerator_match_level_oracles(mu, excess):
+    configs = enumerate_configs(mu, excess)
+    rows = divisibility_audit(mu, excess)["rows"]
+    bracket = vertex._bracket(normalize_partition(mu))
+    for cfg, row in zip(configs, rows):
+        want = _oracle_formula(cfg)
+        assert row["formula"] == want and profile_formula_value(cfg) == want, cfg
+        p = vertex._numerator(cfg, bracket)
+        assert {k: v for k, v in p.items() if v} == _oracle_numerator(cfg), cfg
