@@ -243,13 +243,8 @@ def _note(lines, name, good, detail=None):
 
 def _run_verify(args):
     lines = []
-    suites = {
-        "kkv": _suite_kkv,
-        "points": _suite_points,
-        "gwpt": _suite_gwpt,
-        "appendixB": _suite_appendixB,
-        "vertex": _suite_vertex,
-    }
+    suites = {"kkv": _suite_kkv, "points": _suite_points, "gwpt": _suite_gwpt,
+              "appendixB": _suite_appendixB, "vertex": _suite_vertex}
     ok = suites[args.suite](args, lines)
     lines.append(f"suite {args.suite}: " + ("all checks passed" if ok else "FAILED"))
     _emit("\n".join(lines) + "\n", args.output)
@@ -273,17 +268,8 @@ def _run_recognize(args):
 
 def _render_vertex(report, fmt):
     if fmt == "json":
-        rows = []
-        for row in report["rows"]:
-            rows.append({
-                "chain": row["chain"],
-                "size": row["size"],
-                "direct": format_rational(row["direct"]),
-                "formula": format_rational(row["formula"]),
-                "match": row["match"],
-                "nonpositive": row["nonpositive"],
-                "strict_ok": row["strict_ok"],
-            })
+        rows = [{k: format_rational(v) if k in ("direct", "formula") else v
+                 for k, v in row.items() if k != "mu"} for row in report["rows"]]
         obj = {"mu": report["mu"], "excess": report["excess"],
                "configs": report["configs"], "violations": report["violations"],
                "rows": rows}
@@ -322,9 +308,7 @@ def _run(args):
         mu = _parse_mu(args.mu)
         report = vertex.divisibility_audit(mu, args.excess)
         _emit(_render_vertex(report, args.format), args.output)
-        if args.audit and report["violations"]:
-            return 3
-        return 0
+        return 3 if args.audit and report["violations"] else 0
     raise ValueError(f"unknown command {args.command!r}")
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 
 from .series import (
     PrecisionError,
@@ -263,31 +264,31 @@ class TransformReport:
 def bps_transform_check(g_max, h_max):
     """Check sum_g R_{g,h} u^{2g-2} = sum_g r_{g,h} s^{2g-2}, s = 2 sin(u/2).
 
-    Verified per h on the certified window u^-2 .. u^{2*g_max-2}.
+    Verified per h on the certified window u^-2 .. u^{2*g_max-2}: the powers
+    s^{2g-2} are cleared once to one denominator, so each h is an int sum.
     """
     u_order = 2 * g_max - 2
     budget = 2 * g_max + 2
     r_tab = bps_r_table(g_max, h_max)
     big_tab = hodge_r_table(g_max, h_max)
     s2 = sin_half_square(budget)
-    powers = {-1: _inv_s2(u_order), 0: Series.one("u", budget)}
+    powers = [_inv_s2(u_order), Series.one("u", budget)][:g_max + 1]
     for g in range(2, g_max + 1):
-        powers[g - 1] = powers[g - 2] * s2
+        powers.append(powers[-1] * s2)
+    if min(p.order for p in powers) < u_order:
+        raise AssertionError("window bookkeeping error in bps_transform_check")
+    window = range(-2, u_order + 1)
+    cleared = [_cleared([p.coeff(j) for j in window]) for p in powers]
+    den = lcm(*[d for _, d in cleared])
+    columns = list(zip(*[[n * (den // d) for n in nums] for nums, d in cleared]))
     mismatches = []
     for h in range(0, h_max + 1):
-        lhs = Series.zero("u", u_order, -2)
-        for g in range(0, g_max + 1):
-            v = r_tab.value(g, h)
-            if v:
-                lhs = lhs + v * powers[g - 1]
-        coeffs = []
-        for j in range(-2, u_order + 1):
-            coeffs.append(big_tab.value((j + 2) // 2, h) if j % 2 == 0 else Fraction(0))
-        rhs = Series("u", -2, coeffs, u_order)
-        if min(lhs.order, rhs.order) < u_order:
-            raise AssertionError("window bookkeeping error in bps_transform_check")
-        if lhs != rhs:
-            mismatches.append(h)
+        r = [r_tab.value(g, h).numerator for g in range(0, g_max + 1)]
+        for j, column in zip(window, columns):
+            big = big_tab.value((j + 2) // 2, h) if j % 2 == 0 else 0
+            if sum(map(mul, r, column)) * big.denominator != big.numerator * den:
+                mismatches.append(h)
+                break
     return TransformReport(g_max, h_max, u_order, not mismatches, mismatches)
 
 

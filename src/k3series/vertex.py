@@ -22,8 +22,9 @@ vertex_H and divisibility_audit both certify those column sums.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 
 class NotPolynomial(ArithmeticError):
@@ -59,8 +60,7 @@ def subdiagrams(partition):
             build(prefix + [p], idx + 1, p)
 
     build([], 0, partition[0] if partition else 0)
-    seen = sorted(set(out))
-    return seen
+    return sorted(set(out))
 
 
 class BoxConfig:
@@ -83,7 +83,7 @@ class BoxConfig:
                 raise ValueError("chain must be weakly decreasing")
         if len(nus) > 1 and nus[1] == mu:
             raise ValueError("redundant leading level (chain not canonical)")
-        self.mu, self.nus, self.size = mu, nus, sum(_size(mu) - _size(n) for n in nus)
+        self.mu, self.nus, self.size = mu, nus, sum(sum(mu) - sum(n) for n in nus)
 
     @classmethod
     def _trusted(cls, mu, nus, size):
@@ -98,12 +98,11 @@ class BoxConfig:
     def rho(self, k):
         """Boxes of the skew diagram at x3-degree k (empty below -m, mu above -1)."""
         m = len(self.nus)
-        if k >= 0:
-            return boxes(self.mu)
         if k < -m:
             return []
-        nu = self.nus[k + m]
-        return _skew_boxes(self.mu, nu)
+        nu = () if k >= 0 else self.nus[k + m]
+        return [(a, b) for b, part in enumerate(self.mu)
+                for a in range(nu[b] if b < len(nu) else 0, part)]
 
     def chain_key(self):
         return (self.size, self.nus)
@@ -112,19 +111,8 @@ class BoxConfig:
         return f"BoxConfig(mu={self.mu}, nus={list(self.nus)}, size={self.size})"
 
 
-def _size(partition):
-    return sum(partition)
-
-
 def _contains(outer, inner):
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
-def _skew_boxes(outer, inner):
-    return [(a, b) for b, part in enumerate(outer)
-            for a in range(inner[b] if b < len(inner) else 0, part)]
+    return len(inner) <= len(outer) and all(i <= o for i, o in zip(inner, outer))
 
 
 def enumerate_configs(mu, excess):
@@ -135,7 +123,7 @@ def enumerate_configs(mu, excess):
     mu = normalize_partition(mu)
     if excess < 0:
         raise ValueError("excess must be >= 0")
-    budget = _size(mu) + excess
+    budget = sum(mu) + excess
     out = []
     below = {}
 
@@ -147,7 +135,7 @@ def enumerate_configs(mu, excess):
         for nu in below[last]:
             if len(chain) == 1 and nu == mu:
                 continue
-            deficit = _size(mu) - _size(nu)
+            deficit = sum(mu) - sum(nu)
             if total + deficit <= budget:
                 chain.append(nu)
                 extend(chain, total + deficit)
@@ -179,22 +167,29 @@ def profile_formula_value(config):
 
     -c_0(rho_-1) + 1/2 sum_r ( d_r(rho_0)^2
                                - sum_{k<=0} (d_r(rho_k) - d_r(rho_{k-1}))^2 ).
+
+    d is additive on skew diagrams, so d(rho_k) = d(mu) - d(nus[k + m]) and
+    c_0(rho_-1) = c_0(mu) - c_0(nus[-1]): the level differences are the
+    differences of consecutive chain vectors, and the k = 0 term is d(nus[-1]).
     """
-    m = config.levels()
-    d_by_level = {k: profile_d(config.rho(k)) for k in range(-m, 1)}
-    c_top = profile_c(config.rho(-1))
-    rs = set()
-    for d in d_by_level.values():
-        rs.update(d)
-    total = 0
-    for r in rs:
-        square_sum = 0
-        for k in range(-m, 1):
-            prev = d_by_level.get(k - 1, {}).get(r, 0)
-            cur = d_by_level[k].get(r, 0)
-            square_sum += (cur - prev) ** 2
-        total += d_by_level[0].get(r, 0) ** 2 - square_sum
-    return Fraction(total, 2) - c_top.get(0, 0)
+    mu, nus = config.mu, config.nus
+    span = (-len(mu), mu[0] if mu else 0)
+    vecs = [_diagonal_vector(nu, *span) for nu in nus]
+    total = vecs[0][1] - vecs[-1][1]
+    for (d, sq, _), (e, sq_next, _) in zip(vecs, vecs[1:]):
+        total -= sq + sq_next - 2 * sum(map(mul, d, e))
+    return Fraction(total, 2) - (vecs[0][2] - vecs[-1][2])
+
+
+@lru_cache(maxsize=None)
+def _diagonal_vector(nu, lo, hi):
+    """(d, |d|^2, c_0) of nu, with d = (d_lo(nu), ..., d_{hi-1}(nu))."""
+    c = [0] * (hi - lo + 1)
+    for b, part in enumerate(nu):
+        for i in range(-b - lo, part - b - lo):  # diagonals -b .. part - b - 1
+            c[i] += 1
+    d = tuple(c[i] - c[i + 1] for i in range(hi - lo))
+    return d, sum(map(mul, d, d)), c[-lo]
 
 
 class Laurent3:
@@ -263,23 +258,36 @@ def _div_1mt3(num):
     return out
 
 
-def _terms(cells):
-    """N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3) for N over cells (a, b, c)."""
-    out = {}
-    for a, b, c in cells:
-        out[a, b, c] = out.get((a, b, c), 0) + 1
-        out[-a - 1, -b - 1, -c] = out.get((-a - 1, -b - 1, -c), 0) + 1
-    pairs = Counter((a1 - a2, b1 - b2, c1 - c2) for a1, b1, c1 in cells for a2, b2, c2 in cells)
-    for (a, b, c), n in pairs.items():
-        for k, w in (((a - 1, b - 1, c), -n), ((a, b - 1, c), n),
-                     ((a - 1, b, c), n), ((a, b, c), -n)):
-            out[k] = out.get(k, 0) + w
+@lru_cache(maxsize=None)
+def _template(mu):
+    """The boxes of mu, and per ordered pair (i, j) of boxes the (a, b)
+    parts (a - 1, b - 1, a, b) of its four keys, (a, b) = box i - box j."""
+    cells = tuple(boxes(mu))
+    pairs = tuple((i, j, a1 - a2 - 1, b1 - b2 - 1, a1 - a2, b1 - b2)
+                  for i, (a1, b1) in enumerate(cells) for j, (a2, b2) in enumerate(cells))
+    return cells, pairs
+
+
+def _add_terms(out, mu, depth):
+    """Add N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3) to out, where N
+    puts box i of mu at t3^-depth[i]; a pair of boxes adds at t3^(depth j - depth i)."""
+    cells, pairs = _template(mu)
+    get = out.get
+    for (a, b), d in zip(cells, depth):
+        out[a, b, -d] = get((a, b, -d), 0) + 1
+        out[-a - 1, -b - 1, d] = get((-a - 1, -b - 1, d), 0) + 1
+    for i, j, a0, b0, a1, b1 in pairs:
+        c = depth[j] - depth[i]
+        out[a0, b0, c] = get((a0, b0, c), 0) - 1
+        out[a1, b0, c] = get((a1, b0, c), 0) + 1
+        out[a0, b1, c] = get((a0, b1, c), 0) + 1
+        out[a1, b1, c] = get((a1, b1, c), 0) - 1
     return out
 
 
 def _bracket(mu):
     """B as a monomial dict: the terms of N = G."""
-    return _terms([(a, b, 0) for a, b in boxes(mu)])
+    return _add_terms({}, mu, [0] * sum(mu))
 
 
 def _numerator(config, bracket):
@@ -288,11 +296,15 @@ def _numerator(config, bracket):
     N = G + (1 - t3) L puts each box (a, b) of mu at t3^-d, d the number of
     chain levels that miss it.
     """
-    p = _terms([(a, b, -sum(b >= len(nu) or a >= nu[b] for nu in config.nus))
-                for a, b in boxes(config.mu)])
-    for k, v in bracket.items():
-        p[k] = p.get(k, 0) - v
-    return p
+    mu = config.mu
+    depth = list(map(sum, zip(*[_missed(mu, nu) for nu in config.nus])))
+    return _add_terms({k: -v for k, v in bracket.items()}, mu, depth)
+
+
+@lru_cache(maxsize=None)
+def _missed(mu, nu):
+    """1 for each box of mu that nu misses, 0 for each box it contains."""
+    return tuple(int(b >= len(nu) or a >= nu[b]) for a, b in _template(mu)[0])
 
 
 def vertex_H(config):
@@ -313,11 +325,13 @@ def _specialized_constant(p):
     The same pass certifies that every (a, b) column of P sums to zero.
     """
     cols = {}
+    get = cols.get
     total = 0
     for (a, b, c), v in p.items():
-        cols[a, b] = cols.get((a, b), 0) + v
-        if a == b and c <= 0:
-            total += v
+        if v:
+            cols[a, b] = get((a, b), 0) + v
+            if a == b and c <= 0:
+                total += v
     if any(cols.values()):
         raise NotPolynomial("(1 - t3) denominator did not cancel")
     return Fraction(total)
@@ -346,7 +360,7 @@ def divisibility_audit(mu, excess):
     for config in enumerate_configs(mu, excess):
         direct = _specialized_constant(_numerator(config, bracket))
         formula = profile_formula_value(config)
-        strict = config.size > _size(mu)
+        strict = config.size > sum(mu)
         ok = (direct == formula) and direct <= 0 and (not strict or direct <= -1)
         if not ok:
             violations += 1

@@ -575,3 +575,14 @@ def test_transform_check_reports_a_forged_hodge_entry(monkeypatch):
     rep = bps_transform_check(4, 5)
     assert rep == _oracle_transform(4, 5)
     assert not rep.equal and rep.mismatches == [3]
+
+
+def test_transform_check_adds_and_scales_no_series(monkeypatch):
+    expected = bps_transform_check(8, 8)  # warms the tables the check reads
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Series sum or scaling in the transform check")
+
+    for name in ("__add__", "__radd__", "scale", "__rmul__"):
+        monkeypatch.setattr(Series, name, forbidden)
+    assert bps_transform_check(8, 8) == expected

@@ -352,3 +352,11 @@ def test_profile_formula_and_numerator_match_level_oracles(mu, excess):
         assert row["formula"] == want and profile_formula_value(cfg) == want, cfg
         p = vertex._numerator(cfg, bracket)
         assert {k: v for k, v in p.items() if v} == _oracle_numerator(cfg), cfg
+
+
+def test_audit_builds_each_diagonal_vector_once():
+    vertex._diagonal_vector.cache_clear()
+    divisibility_audit((2, 2), 4)
+    partitions = {nu for cfg in enumerate_configs((2, 2), 4) for nu in cfg.nus}
+    info = vertex._diagonal_vector.cache_info()
+    assert info.misses == len(partitions) and info.hits > 0
