@@ -6,7 +6,7 @@ the rows of Delta(y, q) and 1/Delta(y, q) through q^60 (each row as its
 (lo, nums, den, hi) fields), the BPS table r_{g,h} through (40, 40), the
 Hodge table R_{g,h} through (20, 20), both sides of one GW/pairs
 comparison, every recognized row of the quasimodularity audit at
-(k, g) = (4, 8) as qmod_to_text, and the JSON report of the vertex audit of
+(k, g) = (4, 8) and (5, 10) as qmod_to_text, and the JSON report of the vertex audit of
 mu = (3, 2, 1) at excess 3 (495 configurations) as cli.main prints it,
 rendered f"exit={code}\n{stdout}" like the golden CLI corpus.  A deliberate
 change to one of these outputs updates its digest in the same change.
@@ -66,6 +66,8 @@ CASES = {
                                "02914d4fa5cb86a917e48d7553063dd8ee79a56ca31b1db19c6d0101a502558c"),
     "quasimodularity_audit(4,8)": (lambda: _audit_rows(quasimodularity_audit(4, 8)),
                                    "4ec12bfa444a1fd22d60663f8f3f93c67bab2d113bb15bc71e74eceaf93bef42"),
+    "quasimodularity_audit(5,10)": (lambda: _audit_rows(quasimodularity_audit(5, 10)),
+                                    "7072899f4910964ae84dffa3e9e34ba82bc2be024ed556899584fbae8b67976b"),
     "vertex(3,2,1;3)": (lambda: _cli("vertex", "--mu", "3,2,1", "--excess", "3", "--format", "json"),
                         "f4d60a2c62b26e4d296321dc9a991781db6c6a4308558e1e7f4c56ae851dd316"),
 }

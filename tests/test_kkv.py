@@ -127,6 +127,21 @@ def test_hodge_series_odd_rows_vanish():
             assert row == 0
 
 
+@pytest.mark.parametrize("build, window", [(hodge_r_series, (-1, 5)), (gw_point_factor, (1, 4))])
+def test_q_coeff_returns_q_series_or_exact_zero(build, window):
+    # q_coeff is the edge from a windowed q-row to a q-Series of Fractions on
+    # the row's window; an exact zero row comes back as the scalar Fraction(0)
+    biv = build(6, 4)
+    for j in range(biv.min_exp, biv.order + 1):
+        got = kkv.q_coeff(biv, j)
+        if j % 2:
+            assert type(got) is Fraction and got == 0
+            continue
+        assert isinstance(got, Series) and got.var == "q" and got.window() == window
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.coeffs == [biv.coeff(j).coeff(k) for k in range(window[0], window[1] + 1)]
+
+
 def test_transform_small_grid():
     rep = bps_transform_check(4, 4)
     assert rep.equal and rep.mismatches == []
