@@ -30,9 +30,9 @@ from .series import (
     PrecisionError,
     Series,
     YLaurent,
+    _as_series,
     _cleared,
     _row,
-    _unrow,
     series_exp,
     series_inv,
     series_log,
@@ -224,7 +224,8 @@ def _inner_coeff(bivariate, u_exp, q_exp):
 
 def q_coeff(bivariate, u_exp):
     """The coefficient of u^u_exp as a q-Series (an exact scalar stays a scalar)."""
-    return _unrow(_row(bivariate.coeff(u_exp)), "q")
+    r = _row(bivariate.coeff(u_exp))
+    return r.coeff(0) if r.hi is None else _as_series(r, "q")
 
 
 def u_slice(bivariate, q_exp):
@@ -576,13 +577,10 @@ class LogIdentityReport:
         return self.bivariate_equal and self.scalar_equal
 
 
-def _transpose_y_rows(qs, u_order, flip_sign):
-    """Bivariate (outer u, inner q-rows) from a q-series with YLaurent coefficients.
-
-    Each row is substituted via trig_substitute after an optional y -> -y
-    flip (flip_sign=True realizes y = exp(iu), False realizes y = -exp(iu)).
-    """
-    rows = [trig_substitute(c.substitute_neg() if flip_sign else c, u_order) for c in qs.coeffs]
+def _transpose_y_rows(qs, u_order):
+    """Bivariate (outer u, inner q-rows) from a q-series with YLaurent coefficients
+    under y = exp(iu): each row is flipped y -> -y, then run through trig_substitute."""
+    rows = [trig_substitute(c.substitute_neg(), u_order) for c in qs.coeffs]
     coeffs = [_row(Series("q", qs.min_exp, [r.coeff(j) for r in rows], qs.order))
               for j in range(u_order + 1)]
     return Series("u", 0, coeffs, u_order)
@@ -598,7 +596,7 @@ def log_identity_check(u_order, q_order):
     bu = u_order + 4
     bq = q_order + bu + 4
     d_yq = discriminant_yq(bq)
-    d_u = _transpose_y_rows(d_yq, bu, flip_sign=True)
+    d_u = _transpose_y_rows(d_yq, bu)
     inv_du = series_inv(d_u)
     s2 = sin_half_square(bu + 2)
     big_s2 = Series("u", 0, s2.coeffs, bu)  # S(u)^2 = s^2 / u^2

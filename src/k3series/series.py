@@ -1,25 +1,23 @@
 """Exact truncated Laurent series and symmetric Laurent polynomials.
 
 Every series carries an explicit certified window [min_exp, order]: the
-coefficients inside the window are exact rationals (or exact values of a
-coefficient ring such as YLaurent, or a nested Series), coefficients below
-min_exp are exactly zero, and nothing is claimed past the order.  Arithmetic
-propagates the window pessimistically, so equality of two series always means
-coefficient-wise equality on the common certified window.
+coefficients inside the window are exact rationals (or exact YLaurent values),
+coefficients below min_exp are exactly zero, and nothing is claimed past the
+order.  Arithmetic propagates the window pessimistically, so equality of two
+series always means coefficient-wise equality on the common certified window.
 
-Coefficients may be int/Fraction, YLaurent, or another Series.  All
-operations stay exact; no coefficient is ever a float.  The kernels run over
-int rows: a YLaurent is a dense list of int numerators over one denominator,
-and the same layout with a window holds a rational q-series, so a scalar
-product is one convolution.  Each ring has one recurrence, which series_inv,
-series_exp, series_log and the eta products run: _running_recurrence over
-int, with a running common denominator, and _row_recurrence over rows (the
-windowed u-coefficients of a (u, q) series, the y-polynomials of a (y, q)
-series), one packed big-int dot product per step (Kronecker substitution,
-_row_dot), as is each output row of a two-variable product.  Powers are one
-square-and-multiply loop (_power).  A nested series whose u-coefficients are
-rational q-Series is converted to rows once per call (_rowwise), where an
-exact scalar zero imposes no inner window.
+Coefficients may be int/Fraction or YLaurent; no coefficient is ever a float.
+The kernels run over int rows: a YLaurent is a dense list of int numerators
+over one denominator, and the same layout with a window holds a rational
+q-series, so a scalar product is one convolution.  Each ring has one
+recurrence, which series_inv, series_exp, series_log and the eta products
+run: _running_recurrence over int, with a running common denominator, and
+_row_recurrence over rows (the windowed u-coefficients of a (u, q) series,
+the y-polynomials of a (y, q) series), one packed big-int dot product per
+step (Kronecker substitution, _row_dot), as is each output row of a
+two-variable product.  Powers are one square-and-multiply loop (_power).  A
+(u, q) series is a u-Series of windowed q-rows or exact scalars, where an
+exact zero imposes no inner window; a Series coefficient raises TypeError.
 """
 
 from __future__ import annotations
@@ -331,15 +329,15 @@ class Series:
         min(a.order + b.min_exp, b.order + a.min_exp).
 
         Rational factors are fraction-free: one int convolution of the two
-        cleared rows.  Nested factors (scalar and q-series coefficients, as
-        rows) and YLaurent coefficients run _generic_mul: one big-int product
-        of packed rows per pair, where an exact zero imposes no inner window.
-        Any other coefficient raises TypeError.  A non-series factor scales
-        every coefficient.
+        cleared rows.  YLaurent coefficients (q-rows of a (u, q) series,
+        y-polynomials of a (y, q) series) and scalars run _generic_mul: one
+        big-int product of packed rows per pair, where an exact zero imposes
+        no inner window.  Any other coefficient, a Series included, raises
+        TypeError.  A non-series factor scales every coefficient.
         """
         if isinstance(other, Series) and other.var == self.var:
             a, b = self, other
-            if all(map(_is_scalar, a.coeffs)) and all(map(_is_scalar, b.coeffs)):
+            if _scalar_coeffs(a) & _scalar_coeffs(b):  # & checks both factors
                 return _as_series(_row(a) * _row(b), self.var)
             return _generic_mul(a, b)
         if isinstance(other, Series):
@@ -350,6 +348,7 @@ class Series:
     __rmul__ = scale
 
     def __pow__(self, n):
+        _scalar_coeffs(self)
         return _power(series_inv(self) if n < 0 else self, abs(n), Series.one(self.var, self.order))
 
     def __eq__(self, other):
@@ -481,11 +480,6 @@ def _as_series(r, var):
     return Series(var, r.lo, [Fraction(x, r.den) for x in r.nums] + pad, r.hi)
 
 
-def _unrow(r, var):
-    """A row back as a Fraction (rows without a window) or a var-Series."""
-    return r.coeff(0) if r.hi is None else _as_series(r, var)
-
-
 def _scaled(c, f):
     """f c for a nonzero scalar f: a scalar, or a row over the same window."""
     if _is_scalar(c):
@@ -494,27 +488,13 @@ def _scaled(c, f):
     return YLaurent._normalized(c.lo, nums, c.den * f.denominator, c.hi)
 
 
-def _rowwise(kernel):
-    """kernel, adapted to nested series whose coefficients are rational Series.
-
-    Applies when some coefficient is a Series and every one is a scalar or a
-    Series of scalars in one variable: the coefficients go in as rows and
-    come back once.  Otherwise (scalars, rows, YLaurent) kernel runs as it is.
-    """
-    def run(*args):
-        var = None
-        for c in (c for s in args for c in s.coeffs):
-            if isinstance(c, Series) and var in (None, c.var) and all(map(_is_scalar, c.coeffs)):
-                var = c.var
-            elif not _is_scalar(c):
-                return kernel(*args)
-        if var is None:
-            return kernel(*args)
-        out = kernel(*[Series(s.var, s.min_exp, list(map(_row, s.coeffs)), s.order)
-                       for s in args])
-        coeffs = [_unrow(c, var) if isinstance(c, YLaurent) else c for c in out.coeffs]
-        return Series(out.var, out.min_exp, coeffs, out.order)
-    return run
+def _scalar_coeffs(a):
+    """Whether every coefficient of a is a scalar; any but scalars and YLaurent raise TypeError."""
+    if all(map(_is_scalar, a.coeffs)):
+        return True
+    if all(isinstance(c, YLaurent) or _is_scalar(c) for c in a.coeffs):
+        return False
+    raise TypeError("coefficients must be scalars or YLaurent rows, not series")
 
 
 def _row_dot(pairs, packs, size, div=1):
@@ -584,9 +564,8 @@ def _row_recurrence(w, div, first, top=None, unit=None):
     return p
 
 
-@_rowwise
 def _generic_mul(a, b):
-    """The Series product over YLaurent coefficients or rows, and scalars.
+    """The Series product over YLaurent coefficients (polynomials or rows) and scalars.
 
     Output row k is one packed dot over its pairs (_row_dot), over the lcm of
     den_i den_j rather than one denominator per factor, which would double
@@ -596,8 +575,6 @@ def _generic_mul(a, b):
     lo, n = a.min_exp + b.min_exp, min(len(a.coeffs), len(b.coeffs))
     fa, fb = a.coeffs[:n], b.coeffs[:n]
     ra, rb = ([_row(c) if _is_scalar(c) else c for c in f] for f in (fa, fb))
-    if not all(isinstance(r, YLaurent) for r in ra + rb):
-        raise TypeError("coefficients must be scalars, YLaurent or rational series")
     scalars = any(map(_is_scalar, fa)) and any(map(_is_scalar, fb))
     packs, size, coeffs = {}, 1, []
     for k in range(n):
@@ -607,13 +584,12 @@ def _generic_mul(a, b):
     return Series(a.var, lo, coeffs, lo + n - 1)
 
 
-@_rowwise
 def series_inv(a):
     """Inverse of a series whose leading coefficient is a unit.
 
     The certified order drops to a.order - 2*a.min_exp, which keeps the
     window honest for Laurent inputs such as q^-1 + 24 + ...  Rational input
-    (and every inner row of a nested series) runs YLaurent.inverse_unit: with
+    (and a row lead b_0) runs YLaurent.inverse_unit: with
     a = q^m (x_0 + x_1 q + ...) / D over int, b_k = -(1/x_0) sum_j x_j b_{k-j}
     over a running common denominator (_running_recurrence).  Rows run
     b_k = -b_0 sum_{j=1..k} a_j b_{k-j} as _row_recurrence: a row b_0 through
@@ -622,7 +598,7 @@ def series_inv(a):
     if not a.coeffs:
         raise ValueError("cannot invert a series with an empty window")
     m = a.min_exp
-    if all(map(_is_scalar, a.coeffs)):
+    if _scalar_coeffs(a):
         return _as_series(_row(a).inverse_unit(), a.var)
     lead, n = a.coeffs[0], len(a.coeffs)
     if isinstance(lead, YLaurent):
@@ -640,7 +616,6 @@ def _padded(r, n):
     return ([0] * r.lo + r.nums + [0] * n)[:n]
 
 
-@_rowwise
 def series_exp(a):
     """exp of a series with min_exp >= 1; result certified to a.order.
 
@@ -655,7 +630,7 @@ def series_exp(a):
     if a.min_exp < 1:
         raise ValueError("series_exp needs positive valuation")
     n = a.order + 1
-    if all(map(_is_scalar, a.coeffs)):
+    if _scalar_coeffs(a):
         r = _row(a)
         w = [-j * v for j, v in enumerate(_padded(r, n))]
         nums, den = _running_recurrence(w, [k * r.den for k in range(n)], (1, 1))
@@ -664,7 +639,6 @@ def series_exp(a):
     return Series(a.var, 0, _row_recurrence(d, range(n), Fraction(1)), a.order)
 
 
-@_rowwise
 def series_log(a):
     """log of a series whose constant term is exactly the scalar 1.
 
@@ -681,7 +655,7 @@ def series_log(a):
     order = a.order
     if not eps.coeffs:
         return Series.zero(a.var, order)
-    if all(map(_is_scalar, a.coeffs)):
+    if _scalar_coeffs(a):
         r = _row(a)
         x = _padded(r, order + 1)
         b, den = _running_recurrence(x, [r.den] * (order + 1), (0, 1),
@@ -716,7 +690,7 @@ def first_mismatch(a, b):
     return None
 
 
-def weighted_product(exponents, order, default=0, var="q"):
+def weighted_product(exponents, order, default=0):
     """Product over n >= 1 of (1 - q^n)^e(n), expanded exactly to order.
 
     exponents maps n to an integer exponent; missing n fall back to default.
@@ -736,7 +710,7 @@ def weighted_product(exponents, order, default=0, var="q"):
     nums, den = _running_recurrence(c, range(order + 1), (1, 1))
     if den != 1:
         raise AssertionError("integer log-derivative recurrence is not exact")
-    return Series(var, 0, [Fraction(v) for v in nums], order)
+    return Series("q", 0, [Fraction(v) for v in nums], order)
 
 
 def _w_numerators(p):
@@ -778,17 +752,16 @@ def symmetric_to_z(p):
     return [Fraction(x, den) for x in out]
 
 
-def sin_half_square(order, multiple=1, var="u"):
-    """(2 sin(multiple*u/2))^2 = 2 - 2 cos(multiple*u) as an exact u-series."""
-    d = multiple
+def sin_half_square(order):
+    """s^2 = (2 sin(u/2))^2 = 2 - 2 cos(u) as an exact u-series through u^order."""
     coeffs = [Fraction(0)] * max(order - 1, 0)
     for j in range(1, order // 2 + 1):
-        coeffs[2 * j - 2] = Fraction((-1) ** (j + 1) * 2 * d ** (2 * j), factorial(2 * j))
+        coeffs[2 * j - 2] = Fraction((-1) ** (j + 1) * 2, factorial(2 * j))
     # below order 2 the window is empty: [order + 1, order]
-    return Series(var, min(2, order + 1), coeffs, order)
+    return Series("u", min(2, order + 1), coeffs, order)
 
 
-def trig_substitute(p, order, var="u"):
+def trig_substitute(p, order):
     """Substitute y = -e^{iu} in a symmetric p = sum_e c_e y^e, exact on [0, order].
 
     As y^e = (-1)^e e^{ieu}, [u^2j] = (-1)^j/(2j)! sum_e (-1)^e c_e e^2j: one
@@ -807,7 +780,7 @@ def trig_substitute(p, order, var="u"):
     for j in range(0, order + 1, 2):
         coeffs[j] = Fraction(sum(t), p.den * f)
         t, f = list(map(mul, t, sq)), f * (j + 1) * (j + 2)
-    return Series(var, 0, coeffs, order)
+    return Series("u", 0, coeffs, order)
 
 
 def series_to_text(a):

@@ -9,10 +9,13 @@ value is computed through them.  The window tests compute each kernel
 (these, plus the scalar Series product and trig_substitute) at a long and a
 short size, compare on the short window, and check that one step past it
 raises.  The coefficient-ring tests hold the dense YLaurent, the
-fraction-free scalar Series product and series_inv, and the nested (u, q)
-row kernels against test-local copies of the dict-of-Fraction YLaurent, the
+fraction-free scalar Series product and series_inv, and the (u, q) row
+kernels against test-local copies of the dict-of-Fraction YLaurent, the
 Fraction inverse recurrence and the generic coefficient loops they
-replaced; (y, q) and nested products, which multiply packed rows as big
+replaced.  A (u, q) input is a u-Series of q-rows built from rational
+q-series by _row, or of exact scalars, and its oracles (the generic loops
+and the power sums) run on YLaurent arithmetic, not on the packed dot
+(_row_dot).  (y, q) and (u, q) products, which multiply packed rows as big
 ints, are held against the generic loop over YLaurent products, the row
 recurrence in its exp, inverse and log forms against the per-pair YLaurent
 loops it replaced, and the pack/unpack helpers against the plain int
@@ -25,7 +28,6 @@ as log outputs do.
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -33,13 +35,10 @@ import pytest
 
 from k3series.kkv import (
     _bernoulli_eisenstein,
-    _gw_chain,
     _inner_coeff,
-    _pairs_chain,
     _transpose_y_rows,
     _yq_rows,
     bps_r_table,
-    gw_pairs_check,
     gw_point_factor,
     hodge_r_series,
     inv_discriminant_q,
@@ -54,6 +53,7 @@ from k3series.series import (
     YLaurent,
     _conv,
     _pack,
+    _row,
     _row_dot,
     _row_recurrence,
     _slot_bytes,
@@ -115,12 +115,12 @@ def factor_discriminant_yq(order):
 
 
 def power_sum_exp(a):
-    """sum_k a^k / k!, one Series product per power."""
+    """sum_k a^k / k!, one generic-loop product per power."""
     acc = Series.one(a.var, a.order)
     term = Series.one(a.var, a.order)
     k = 1
     while k * a.min_exp <= a.order:
-        term = term * a
+        term = generic_mul(term, a)
         acc = acc + Fraction(1, factorial(k)) * term
         k += 1
     return acc.truncate(a.order)
@@ -135,7 +135,7 @@ def power_sum_log(a):
     term = Series.one(a.var, a.order)
     k = 1
     while k * eps.min_exp <= a.order:
-        term = term * eps
+        term = generic_mul(term, eps)
         acc = acc + Fraction((-1) ** (k + 1), k) * term
         k += 1
     return acc.truncate(a.order)
@@ -284,9 +284,8 @@ def dict_symmetric_to_z(p):
 def generic_mul(a, b):
     """The coefficient-by-coefficient Series product, accumulating from Fraction(0).
 
-    On nested series every coefficient product is a Series operation, so an
-    exact scalar zero times an inner q-series is a zero series that keeps
-    that series' inner window.
+    On (u, q) series every coefficient product is a YLaurent operation, so an
+    exact scalar zero times a q-row is an exact zero with no inner window.
     """
     lo = a.min_exp + b.min_exp
     hi = min(a.order + b.min_exp, b.order + a.min_exp)
@@ -318,7 +317,7 @@ def generic_exp(a):
     for m in range(1, a.order + 1):
         acc = Fraction(0)
         for j in range(1, m + 1):
-            if isinstance(d[j], Series) or d[j] != 0:
+            if not exact_zero(d[j]):
                 acc = acc + d[j] * p[m - j]
         p.append(acc * Fraction(1, m))
     return Series(a.var, 0, p, a.order)
@@ -346,12 +345,11 @@ def fraction_log(a):
 
 def generic_inv(a):
     """The inverse recurrence b_k = -b_0 sum_{j=1..k} a_j b_{k-j}, one Fraction
-    or Series operation per term: the per-term Fraction loop on rational input,
+    or YLaurent operation per term: the per-term Fraction loop on rational input,
     and on rows the per-pair YLaurent loop that series_inv ran before its rows
     went through the packed row recurrence."""
     lead = a.coeffs[0]
-    b0 = (generic_inv(lead) if isinstance(lead, Series) else lead.inverse_unit()
-          if isinstance(lead, YLaurent) else Fraction(1) / lead)
+    b0 = lead.inverse_unit() if isinstance(lead, YLaurent) else Fraction(1) / lead
     out = [b0]
     for k in range(1, len(a.coeffs)):
         acc = Fraction(0)
@@ -396,34 +394,48 @@ def random_q_series(rng, lo, hi, order=None):
     return Series("q", mn, [random_rational(rng) for _ in range(order - mn + 1)], order)
 
 
+def is_row(c):
+    """A windowed q-row (scalars and exact polynomials have hi None)."""
+    return isinstance(c, YLaurent) and c.hi is not None
+
+
+def row_coeffs(r):
+    """The Fraction coefficients of a row on its window [lo, hi]."""
+    return [r.coeff(k) for k in range(r.lo, r.hi + 1)]
+
+
 def inner_shape(c):
-    if isinstance(c, Series):
-        return ("series", c.min_exp, c.order, tuple(c.coeffs))
-    if isinstance(c, YLaurent) and c.hi is not None:
+    if is_row(c):
         return ("row", c.lo, c.hi, c.den, tuple(c.nums))
     return ("scalar", c)
 
 
+def window_of(c):
+    """(lo, hi) of a series or a row, None for an exact value."""
+    return c.window() if isinstance(c, Series) else (c.lo, c.hi) if is_row(c) else None
+
+
 def agrees_on_window(short, long):
     """long matches short on short's certified window (scalars are exact)."""
-    if not isinstance(short, Series):
+    window = window_of(short)
+    if window is None:
         return long == short
-    lo = min(short.min_exp, long.min_exp) if isinstance(long, Series) else short.min_exp
-    for k in range(lo, short.order + 1):
+    floor = long.min_exp if isinstance(long, Series) else long.lo if isinstance(long, YLaurent) else 0
+    for k in range(min(window[0], floor), window[1] + 1):
         want = short.coeff(k)
-        got = long.coeff(k) if isinstance(long, Series) else (long if k == 0 else 0)
+        got = long.coeff(k) if isinstance(long, (Series, YLaurent)) else (long if k == 0 else 0)
         if got != want:
             return False
     return True
 
 
 def extend_inner(a, rng, extra=3):
-    """a with every inner q-series certified `extra` further (random values)."""
+    """a with every inner q-row certified `extra` further (random values)."""
     out = []
     for c in a.coeffs:
-        if isinstance(c, Series):
+        if is_row(c):
             more = [random_rational(rng) for _ in range(extra)]
-            c = Series("q", c.min_exp, c.coeffs + more, c.order + extra)
+            c = _row(Series("q", c.lo, row_coeffs(c) + more, c.hi + extra))
         out.append(c)
     return Series(a.var, a.min_exp, out, a.order)
 
@@ -479,7 +491,7 @@ def test_exp_log_match_power_sums_on_scalars():
 
 def nested_input(rng, u_order, q_order, val):
     """A (u, q) series shaped like the Hodge exponent: one inner q-order, odd u-rows 0."""
-    coeffs = [random_q_series(rng, 0, q_order, q_order) if j % 2 == 0 else Fraction(0)
+    coeffs = [_row(random_q_series(rng, 0, q_order, q_order)) if j % 2 == 0 else Fraction(0)
               for j in range(val, u_order + 1)]
     return Series("u", val, coeffs, u_order)
 
@@ -497,15 +509,15 @@ def test_exp_log_match_power_sums_on_nested_series():
 
 
 def test_nested_exp_log_windows_are_sound():
-    # Mixed inner windows: the recurrence may certify a longer inner window
-    # than the power sums did (they multiply exact scalar zeros into inner
-    # series, which caps the window), never a shorter one.  Certifying every
-    # inner series further must leave each claimed inner window unchanged.
+    # Mixed inner windows and scalar rows: the recurrence gives the power
+    # sums' rows and windows exactly (in neither does an exact scalar zero
+    # cap a window), and certifying every inner row further must leave each
+    # claimed inner window unchanged.
     rng = random.Random(33)
     for _ in range(40):
         val = rng.randint(1, 3)
         order = rng.randint(val, 7)
-        coeffs = [random_q_series(rng, 0, 6) if rng.random() < 0.7
+        coeffs = [_row(random_q_series(rng, 0, 6)) if rng.random() < 0.7
                   else Fraction(rng.randint(-2, 2)) for _ in range(order - val + 1)]
         a = Series("u", val, coeffs, order)
         for kernel, ref, arg in ((series_exp, power_sum_exp, a),
@@ -514,11 +526,9 @@ def test_nested_exp_log_windows_are_sound():
             want = ref(arg)
             longer = kernel(extend_inner(arg, rng))
             assert got.window() == want.window()
+            assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
             for k in range(got.min_exp, got.order + 1):
-                g, w = got.coeff(k), want.coeff(k)
-                assert agrees_on_window(w, g) and agrees_on_window(g, longer.coeff(k))
-                if isinstance(w, Series) and isinstance(g, Series):
-                    assert g.order >= w.order
+                assert agrees_on_window(got.coeff(k), longer.coeff(k))
 
 
 def test_kernels_run_without_series_products(monkeypatch):
@@ -560,9 +570,9 @@ def test_kernels_run_without_series_products(monkeypatch):
 def test_nested_kernels_build_no_inner_series(monkeypatch):
     # the nested product, power, exp and inverse run over int rows: no inner
     # q-Series is multiplied, added or scaled per term
-    nested = Series("u", 0, [1 + Series("q", 0, [Fraction(1, k + 2) for k in range(9)], 8),
+    nested = Series("u", 0, [_row(1 + Series("q", 0, [Fraction(1, k + 2) for k in range(9)], 8)),
                              Fraction(0), Fraction(-3, 2)]
-                    + [Series("q", -1, [Fraction(k - j, 3) for k in range(10)], 8)
+                    + [_row(Series("q", -1, [Fraction(k - j, 3) for k in range(10)], 8))
                        for j in range(3, 12)], 11)
     calls = []
 
@@ -583,34 +593,6 @@ def test_nested_kernels_build_no_inner_series(monkeypatch):
                 lambda: series_inv(nested), lambda: series_inv(nested.truncate(4))):
         run()
     assert calls and [c for c in calls if c[1] == "q"] == []
-    # the GW side of gw_pairs_check reads kkv's rows as they are: its run
-    # reaches neither _unrow nor the row conversion of _rowwise, whose
-    # wrapper calls _row only for a nested series a caller built
-    import k3series.series
-
-    run_code = k3series.series._rowwise(None).__code__
-    converted = []
-
-    def profile(frame, event, arg):
-        name = frame.f_code.co_name
-        caller = frame.f_back
-        if caller.f_code.co_name == "<listcomp>":  # run converts in a list comprehension
-            caller = caller.f_back
-        if event == "call" and (name == "_unrow" or name == "_row" and caller.f_code is run_code):
-            converted.append(name)
-
-    for cached in (hodge_r_series, inv_discriminant_q, inv_discriminant_yq, _yq_rows,
-                   gw_point_factor, pairs_point_factor, _gw_chain, _pairs_chain):
-        cached.cache_clear()
-    sys.setprofile(profile)
-    try:
-        nested * nested
-        assert sorted(set(converted)) == ["_row", "_unrow"]
-        converted.clear()
-        assert gw_pairs_check(5, 2, 12).equal
-    finally:
-        sys.setprofile(None)
-    assert converted == []
 
 
 # -- window soundness ---------------------------------------------------------
@@ -732,9 +714,10 @@ def test_u_slice_window():
         rows = [random_q_series(rng, -1, 12, order=12)]
         rows += [random_q_series(rng, -1, 12, order=12) if rng.random() < 0.7
                  else random_rational(rng) for _ in range(rng.randint(0, 6))]
-        long = Series("u", val, rows, val + len(rows) - 1)
+        long = Series("u", val, [_row(c) if isinstance(c, Series) else c for c in rows],
+                      val + len(rows) - 1)
         m, t = rng.randint(0, 11), rng.randint(val, long.order)
-        short = Series("u", val, [c.truncate(m) if isinstance(c, Series) else c
+        short = Series("u", val, [_row(c.truncate(m)) if isinstance(c, Series) else c
                                   for c in rows[:t - val + 1]], t)
         for q in range(-2, m + 1):
             sl = u_slice(short, q)
@@ -743,7 +726,7 @@ def test_u_slice_window():
         with pytest.raises(PrecisionError):
             u_slice(short, m + 1)
         for j, c in enumerate(short.coeffs, val):
-            if not isinstance(c, Series):
+            if not is_row(c):
                 assert _inner_coeff(short, j, 0) == c
                 assert _inner_coeff(short, j, 40) == 0
     # the Hodge series: a short q_order agrees with a long one on its window
@@ -758,18 +741,18 @@ def test_u_slice_window():
 
 
 def test_nested_product_scalar_zero_keeps_no_inner_window():
-    a, d = (Series("q", 0, [Fraction(k + s) for k in range(11)], 10) for s in (1, 2))
-    c = Series("q", 0, [Fraction(k + 3) for k in range(4)], 3)
+    a, d = (_row(Series("q", 0, [Fraction(k + s) for k in range(11)], 10)) for s in (1, 2))
+    c = _row(Series("q", 0, [Fraction(k + 3) for k in range(4)], 3))
     prod = Series("u", 0, [d, 0], 1) * Series("u", 0, [c, a], 1)
     # u^1 is d*a + 0*c: d*a is certified to q^10 and 0*c is exactly zero
-    assert prod.coeff(1).order == 10
+    assert prod.coeff(1).hi == 10
     # scaling by an exact zero leaves exact zeros, not zero series with windows
     zero = Fraction(0) * Series("u", 0, [c, a], 1)
     assert zero.window() == (2, 1) and zero.coeff(1) == 0
 
 
 def nested_series(rng, val, u_order, q_order, scalars=0.3):
-    """A (u, q) series: q-series rows (valuation -1..1, order q_order) and, with
+    """A (u, q) series: q-rows (valuation -1..1, order q_order) and, with
     probability `scalars`, scalar rows, half of them exact zeros."""
     rows = []
     for j in range(val, u_order + 1):
@@ -780,15 +763,16 @@ def nested_series(rng, val, u_order, q_order, scalars=0.3):
             coeffs = [random_rational(rng) for _ in range(q_order - mn + 1)]
             if j == val:
                 coeffs[0] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
-            rows.append(Series("q", mn, coeffs, q_order))
+            rows.append(_row(Series("q", mn, coeffs, q_order)))
     return Series("u", val, rows, u_order)
 
 
 def truncate_inner(a, rng, low):
-    """a with each inner q-series cut to a random order in [low, its order]."""
+    """a with each inner q-row cut to a random order in [low, its hi]."""
     return Series(a.var, a.min_exp,
-                  [c.truncate(rng.randint(max(low, c.min_exp - 1), c.order))
-                   if isinstance(c, Series) else c for c in a.coeffs], a.order)
+                  [_row(Series("q", c.lo, row_coeffs(c), c.hi).truncate(
+                      rng.randint(max(low, c.lo - 1), c.hi)))
+                   if is_row(c) else c for c in a.coeffs], a.order)
 
 
 def assert_sound(short, long, ref):
@@ -799,10 +783,10 @@ def assert_sound(short, long, ref):
         got, want = short.coeff(k), ref.coeff(k)
         assert agrees_on_window(got, long.coeff(k))
         assert agrees_on_window(want, got)
-        if isinstance(got, Series):
-            assert isinstance(want, Series) and got.order >= want.order
+        if is_row(got):
+            assert is_row(want) and got.hi >= want.hi
             with pytest.raises(PrecisionError):
-                got.coeff(got.order + 1)
+                got.coeff(got.hi + 1)
 
 
 def test_nested_series_inv_window():
@@ -818,12 +802,12 @@ def test_nested_series_inv_window():
         assert inv.window() == (-val, t - 2 * val)
         assert_sound(inv, series_inv(long), generic_inv(short))
     # b_4 = -b_0 (a_2 b_2 + a_3 b_1) with b_1 = 0 exactly: certified to q^10,
-    # where the generic loop multiplies b_1 as a zero series and stops at q^3
-    a0, a2 = (Series("q", 0, [Fraction(k + s) for k in range(11)], 10) for s in (1, 2))
-    a3 = Series("q", 0, [Fraction(k + 3) for k in range(4)], 3)
+    # as in the generic loop, where 0 times a row is an exact zero row
+    a0, a2 = (_row(Series("q", 0, [Fraction(k + s) for k in range(11)], 10)) for s in (1, 2))
+    a3 = _row(Series("q", 0, [Fraction(k + 3) for k in range(4)], 3))
     a = Series("u", 0, [a0, 0, a2, a3, 0], 4)
-    assert series_inv(a).coeff(1) == 0 and series_inv(a).coeff(4).order == 10
-    assert generic_inv(a).coeff(4).order == 3
+    assert series_inv(a).coeff(1) == 0 and series_inv(a).coeff(4).hi == 10
+    assert inner_shape(generic_inv(a).coeff(4)) == inner_shape(series_inv(a).coeff(4))
 
 
 # -- coefficient rings --------------------------------------------------------
@@ -1015,11 +999,10 @@ def test_rational_kernels_on_growing_denominators():
 
 
 def test_nested_kernels_match_generic_loop():
-    # with only q-series rows the row kernels give the generic loop's exact
-    # rows and windows; with scalar rows they agree on its windows and
-    # certify at least as far, because an exact zero imposes no inner window.
-    # Inner windows reach q^0 after every product, where the generic loop
-    # can add a scalar row.
+    # with or without scalar rows the packed row kernels give the exact rows
+    # and windows of the generic loops over YLaurent arithmetic, where an
+    # exact zero imposes no inner window either.  Inner windows reach q^0
+    # after every product, where the generic loop can add a scalar row.
     rng = random.Random(64)
     for i in range(40):
         scalars = 0.0 if i % 2 else 0.35
@@ -1032,11 +1015,8 @@ def test_nested_kernels_match_generic_loop():
                  (series_exp(expo), generic_exp(expo)), (series_inv(a), generic_inv(a)),
                  (series_log(1 + expo), fraction_log(1 + expo))]
         for got, want in pairs:
-            if scalars:
-                assert_sound(got, got, want)
-            else:
-                assert got.window() == want.window()
-                assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
+            assert got.window() == want.window()
+            assert [inner_shape(c) for c in got.coeffs] == [inner_shape(c) for c in want.coeffs]
 
 
 def yq_series(rng, val, order):
@@ -1073,8 +1053,8 @@ def test_yq_products_match_generic_loop():
     assert_same_yq(s * s, generic_mul(s, s))
     # a factor whose rows are all zero still packs the other factor's large entries;
     # an empty window gives an empty product
-    empty = Series("u", 0, [Series("q", 1, [], 0), Fraction(0)], 1)
-    large = Series("u", 0, [Series("q", 0, [Fraction(2 ** 90, 3), Fraction(-1)], 1), 2], 1)
+    empty = Series("u", 0, [_row(Series("q", 1, [], 0)), Fraction(0)], 1)
+    large = Series("u", 0, [_row(Series("q", 0, [Fraction(2 ** 90, 3), Fraction(-1)], 1)), 2], 1)
     for x, y in ((empty, large), (large, empty), (large, Series("u", 2, [], 1)),
                  (s, Series("q", 1, [], 0)), (Series("q", -1, [], -2), s)):
         got, want = x * y, generic_mul(x, y)
@@ -1216,11 +1196,21 @@ def test_row_dot_cache_keeps_its_rows():
 
 def test_product_rejects_other_coefficients():
     yq = Series("q", 0, [YLaurent({1: 1}), YLaurent({-1: 2})], 1)
-    nested = Series("u", 0, [Series("q", 0, [Fraction(1), Fraction(2)], 1)], 0)
+    q_series = Series("q", 0, [Fraction(1), Fraction(2)], 1)
+    nested = Series("u", 0, [q_series], 0)
     deep = Series("u", 0, [yq], 0)
     for a, b in ((yq, Series("q", 0, [nested], 0)), (deep, deep), (deep, nested)):
         with pytest.raises(TypeError):
             a * b
+    # a (u, q) series holds q-rows (_row), not q-Series: every kernel rejects one
+    scalar = Series("u", 0, [Fraction(1)], 0)
+    for run in (lambda: nested * nested, lambda: scalar * nested, lambda: nested * scalar,
+                lambda: nested ** 0, lambda: nested ** 1, lambda: nested ** 2,
+                lambda: nested ** -1, lambda: series_inv(nested),
+                lambda: series_exp(Series("u", 1, [q_series], 1)),
+                lambda: series_log(Series("u", 0, [Fraction(1), q_series], 1))):
+        with pytest.raises(TypeError):
+            run()
 
 
 def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
@@ -1251,7 +1241,7 @@ def test_two_variable_products_make_no_ylaurent_products(monkeypatch):
     nested, yq = hodge * gw ** 2, inv * pf ** 3
     assert calls == []
     assert nested.window() == (2, 20) and yq.window() == (2, 11)
-    d_u = _transpose_y_rows(discriminant_yq(16), 8, True)
+    d_u = _transpose_y_rows(discriminant_yq(16), 8)
     hodge_one = Series("u", 0, [Fraction(1)] + [hodge.coeff(j) for j in range(1, 19)], 18)
     calls.clear()  # the inputs are built; count the kernels alone
     inv, log = series_inv(d_u), series_log(hodge_one)

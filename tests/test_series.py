@@ -254,10 +254,6 @@ def test_sin_half_square_series():
     assert s2.coeff(4) == Fraction(-1, 12)
     assert s2.coeff(6) == Fraction(1, 360)
     assert s2.coeff(3) == 0
-    d2 = sin_half_square(8, multiple=2)
-    # (2 sin(u))^2 = 4u^2 - 4u^4/3 + ...
-    assert d2.coeff(2) == 4
-    assert d2.coeff(4) == Fraction(-4, 3)
 
 
 def test_trig_substitute_is_multiplicative():
@@ -289,11 +285,11 @@ def test_trig_substitute_base_case():
     assert got == want
 
 
-def horner_trig_substitute(p, order, var="u"):
+def horner_trig_substitute(p, order):
     """y = -e^{iu} through w = y + 1/y -> s^2 - 2: a Horner chain of Series products."""
     b, den = _w_numerators(p)
-    base = sin_half_square(order, 1, var) - 2
-    acc = Series.monomial(var, 0, Fraction(b[-1], den), order)
+    base = sin_half_square(order) - 2
+    acc = Series.monomial("u", 0, Fraction(b[-1], den), order)
     for d in range(len(b) - 2, -1, -1):
         acc = acc * base + Fraction(b[d], den)
     return acc.truncate(order)
