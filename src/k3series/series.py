@@ -348,7 +348,7 @@ class Series:
     __rmul__ = scale
 
     def __pow__(self, n):
-        _scalar_coeffs(self)
+        _scalar_coeffs(self)  # the TypeError check, also where n = 0 or 1 makes no product
         return _power(series_inv(self) if n < 0 else self, abs(n), Series.one(self.var, self.order))
 
     def __eq__(self, other):
@@ -489,12 +489,12 @@ def _scaled(c, f):
 
 
 def _scalar_coeffs(a):
-    """Whether every coefficient of a is a scalar; any but scalars and YLaurent raise TypeError."""
+    """True if all coefficients of a are scalars, False if the rest are YLaurent, else TypeError."""
     if all(map(_is_scalar, a.coeffs)):
         return True
     if all(isinstance(c, YLaurent) or _is_scalar(c) for c in a.coeffs):
         return False
-    raise TypeError("coefficients must be scalars or YLaurent rows, not series")
+    raise TypeError("coefficients must be int, Fraction or YLaurent (q-rows, not q-Series)")
 
 
 def _row_dot(pairs, packs, size, div=1):
@@ -589,7 +589,7 @@ def series_inv(a):
 
     The certified order drops to a.order - 2*a.min_exp, which keeps the
     window honest for Laurent inputs such as q^-1 + 24 + ...  Rational input
-    (and a row lead b_0) runs YLaurent.inverse_unit: with
+    (and the q-row lead of a (u, q) series) runs YLaurent.inverse_unit: with
     a = q^m (x_0 + x_1 q + ...) / D over int, b_k = -(1/x_0) sum_j x_j b_{k-j}
     over a running common denominator (_running_recurrence).  Rows run
     b_k = -b_0 sum_{j=1..k} a_j b_{k-j} as _row_recurrence: a row b_0 through
