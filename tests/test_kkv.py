@@ -19,6 +19,7 @@ from k3series.series import (
     Series,
     YLaurent,
     _row,
+    series_exp,
     series_inv,
     sin_half_square,
     trig_substitute,
@@ -125,6 +126,30 @@ def test_hodge_series_odd_rows_vanish():
             assert row.is_zero_on_window()
         else:
             assert row == 0
+
+
+def _hodge_oracle(u_order, q_order):
+    """u^-2/Delta(q) as a one-row u-series times a separate exp of the Bernoulli-Eisenstein sum."""
+    pre = Series("u", -2, [_row(inv_discriminant_q(q_order + 1))] + [Fraction(0)] * (u_order + 4),
+                 u_order + 2)
+    return pre * series_exp(kkv._bernoulli_eisenstein(u_order + 2, q_order + 2))
+
+
+# every window of the grid, plus windows below u^-2 or q^-1 that raise ValueError
+HODGE_CASES = [(u, q) for u in range(-2, 21) for q in range(-1, 13)] + [(-3, 4), (-4, 0), (6, -3)]
+
+
+def test_hodge_series_equals_product_oracle():
+    # field by field, rows, windows and exact zeros included; a window the
+    # oracle cannot build raises the same exception type
+    for u_order, q_order in HODGE_CASES:
+        try:
+            want = _hodge_oracle(u_order, q_order)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                hodge_r_series(u_order, q_order)
+            continue
+        assert _fields(hodge_r_series(u_order, q_order)) == _fields(want), (u_order, q_order)
 
 
 @pytest.mark.parametrize("build, window", [(hodge_r_series, (-1, 5)), (gw_point_factor, (1, 4))])
