@@ -7,8 +7,9 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * the rational Hodge integral table R_{g,h} (a bivariate exp formula),
   * Euler characteristics of stable-pairs moduli and their point-constrained
     refinements C^k_{n,h} (each point-insertion product is a running chain,
-    one point-factor multiplication per k, grown to the largest window asked
-    for so far; a smaller window reads a prefix of it),
+    one point-factor multiplication per k through u^u_order or q^(h_max-1)
+    only, grown to the largest window asked for so far; a smaller window
+    reads a prefix of it),
   * the variable change y = -exp(iu) connecting the two sides, exact as
     the power sums of trig_substitute: [u^2j] of a symmetric row is
     (-1)^j/(2j)! sum_e (-1)^e c_e e^2j.
@@ -33,7 +34,8 @@ from .series import (
     _as_series,
     _cleared,
     _row,
-    series_exp,
+    _row_recurrence,
+    _scaled,
     series_inv,
     series_log,
     sin_half_square,
@@ -204,17 +206,17 @@ def hodge_r_series(u_order, q_order):
     """The bivariate Hodge series sum R_{g,h} u^{2g-2} q^{h-1}.
 
     Equals u^-2/Delta(q) times the exponential of
-    sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q).  Every even u-coefficient is
-    a windowed q-row, every odd one an exact zero row.
+    a = sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q).  The exp recurrence
+    k e_k = sum_j j a_j e_{k-j} is linear in e and 1/Delta(q) is free of u,
+    so seeded with the row 1/Delta(q) it gives u^2 times the series itself:
+    one packed dot per u-row, no product.  Every even u-coefficient is a
+    windowed q-row, every odd one an exact zero row.
     """
-    bu = u_order + 2
-    bq = q_order + 1
-    expo = series_exp(_bernoulli_eisenstein(bu, bq + 1))
-    pre = Series("u", -2, [_row(inv_discriminant_q(bq))] + [Fraction(0)] * (bu + 2), bu)
-    out = pre * expo
-    if out.order < u_order:
-        raise AssertionError("window bookkeeping error in hodge_r_series")
-    return out
+    bu, bq = u_order + 2, q_order + 1
+    a = _bernoulli_eisenstein(bu, bq + 1)
+    d = [_scaled(a.coeff(j), j) for j in range(bu + 1)]
+    return Series("u", -2, _row_recurrence(d, range(bu + 1), _row(inv_discriminant_q(bq))),
+                  u_order)
 
 
 def _inner_coeff(bivariate, u_exp, q_exp):
@@ -411,13 +413,16 @@ def _pairs_chain():
 def _step(k, chain, window, base, factor):
     """Step k of a point-insertion chain through `window` or past it: the chain
     is rebuilt at `window` only when that exceeds its own, and each missing
-    step is the last one times the factor, so every k costs one product."""
+    step is the last one times the factor, so every k costs one product.
+    Each product forms no row past the top the chain serves (the base's
+    outer order): the last step is first cut to top - factor.min_exp."""
     if k < 0:
         raise ValueError("the number of point insertions must be >= 0")
     if not chain or chain[0] < window:
         chain[:] = window, [base(window)], lambda: factor(window)
     while len(chain[1]) <= k:
-        chain[1].append(chain[1][-1] * chain[2]())
+        f = chain[2]()
+        chain[1].append(chain[1][-1].truncate(chain[1][0].order - f.min_exp) * f)
     return chain[1][k]
 
 
@@ -436,9 +441,9 @@ def _pairs_step(k, h_max):
 def _gw_point_bivariate(k, u_order, q_order):
     """hodge_r_series * gw_point_factor^k, certified through u^u_order, q^q_order.
 
-    Hodge rows reach q^(q_order+1) and u^-2, and factor rows start at q^1 and
-    u^2, so for k >= 1 step k reaches q^(q_order+k-1), u^(u_order+2k-2).  The
-    rows of a longer chain reach as much further in q, and are cut back.
+    Hodge rows reach q^(q_order+1) and factor rows start at q^1, so for
+    k >= 1 step k reaches q^(q_order+k-1); every step stops at u^u_order.
+    The rows of a longer chain reach as much further in q, and are cut back.
     """
     step = _gw_step(k, u_order, q_order)
     cut = _gw_chain(u_order)[0] - q_order
@@ -453,8 +458,9 @@ def point_series_gw(k, g_max, h_max):
     """Gromov-Witten side with k point insertions.
 
     Returns (bivariate, table): the series hodge_r_series * point_factor^k,
-    certified at least two u- and q-orders past its table of coefficients
-    at u^{2g-2} q^{h-1}; at k = 0 the table coincides with hodge_r_table.
+    certified exactly two u-orders and at least two q-orders past its table
+    of coefficients at u^{2g-2} q^{h-1}; at k = 0 the table coincides with
+    hodge_r_table.
     """
     biv = _gw_point_bivariate(k, 2 * g_max, max(h_max - 1, 0) + 2)
     return biv, InvariantTable("R", _gh_entries(biv, g_max, h_max), meta={"points": k})

@@ -500,37 +500,37 @@ def _scalar_coeffs(a):
 def _row_dot(pairs, packs, size, div=1):
     """(sum x y / div over the row pairs (x, y) as one normalized row, slot width).
 
-    Pairs with an exact zero (no numerators, no window) drop out.  Over D div,
-    D the lcm of den_x den_y, the numerators are the slots of
-    sum (D / (den_x den_y)) pack(x) pack(y), shifted to the row's floor.  A
-    slot is at most sum (D / (den_x den_y)) min(len_x, len_y) peak_x peak_y
-    (peak: the largest |numerator|), and every packed numerator must fit;
-    the width is that bound in whole 4-byte words, never below `size`.  packs
-    maps id(row) to [row, peak, width, pack] across the calls of one kernel:
-    a row is re-packed only when the width grows, and the entry keeps its row
-    alive, so no later row can reuse the id.  A pair is certified through
+    Every pair is live, and there is at least one: callers drop each pair
+    with an exact zero (no numerators, no window) and make a sum with no live
+    pair the exact zero directly.  Over D div, D the lcm of den_x den_y, the
+    numerators are the slots of sum (D / (den_x den_y)) pack(x) pack(y),
+    shifted to the row's floor.  A slot is at most
+    sum (D / (den_x den_y)) min(len_x, len_y) peak_x peak_y (peak: the
+    largest |numerator|), and every packed numerator must fit; the width is
+    that bound in whole 4-byte words, never below `size`.  packs maps id(row)
+    to [row, peak, width, pack] across the calls of one kernel: a row is
+    re-packed only when the width grows, and the entry keeps its row alive,
+    so no later row can reuse the id.  A pair is certified through
     min(hi_x + lo_y, hi_y + lo_x), as a YLaurent product is.
     """
-    live = [(x, y) for x, y in pairs
-            if (x.nums or x.hi is not None) and (y.nums or y.hi is not None)]
-    rows = {id(r): r for pair in live for r in pair}
+    rows = {id(r): r for pair in pairs for r in pair}
     for key, r in rows.items():
         if key not in packs:
             packs[key] = [r, max(map(abs, r.nums), default=0), 0, 0]
-    den = lcm(*[x.den * y.den for x, y in live])
+    den = lcm(*[x.den * y.den for x, y in pairs])
     bound = sum(den // (x.den * y.den) * min(len(x.nums), len(y.nums))
-                * packs[id(x)][1] * packs[id(y)][1] for x, y in live)
+                * packs[id(x)][1] * packs[id(y)][1] for x, y in pairs)
     size = max(size, -(-_slot_bytes(max([bound] + [packs[key][1] for key in rows])) // 4) * 4)
     for key, r in rows.items():
         if packs[key][2] != size:
             packs[key][2:] = size, _pack(r.nums, size)
     inf = float("inf")
-    hi = min((min(inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
-              for x, y in live), default=inf)
-    floor = min((x.lo + y.lo for x, y in live), default=0)
-    top = max((x.lo + y.lo + len(x.nums) + len(y.nums) - 2 for x, y in live), default=-1)
+    hi = min(min(inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
+             for x, y in pairs)
+    floor = min(x.lo + y.lo for x, y in pairs)
+    top = max(x.lo + y.lo + len(x.nums) + len(y.nums) - 2 for x, y in pairs)
     acc = sum(packs[id(x)][3] * (den // (x.den * y.den)) * packs[id(y)][3]
-              << 8 * size * (x.lo + y.lo - floor) for x, y in live)
+              << 8 * size * (x.lo + y.lo - floor) for x, y in pairs)
     m = min(top, hi) - floor + 1
     return YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den * div,
                                 None if hi == inf else hi), size
@@ -541,21 +541,23 @@ def _row_recurrence(w, div, first, top=None, unit=None):
     p_m = unit (top[m] + sum_{j=1..m} w[j] p_{m-j}) / div[m].
 
     w, top and first hold scalars and YLaurent rows (w[0], top[0] unread),
-    div ints > 0, unit a row or None.  Step m is one packed dot (_row_dot),
-    top[m] paired with the exact row 1; a row unit multiplies the sum in one
-    more dot, so the window is that of unit * sum.  p_m is a scalar when no
-    unit is given and first, top[m] and both factors of each pair whose w[j]
-    is not an exact zero are scalars.
+    div ints > 0, unit a row or None.  Step m is one packed dot (_row_dot)
+    over the pairs with no exact zero, top[m] paired with the exact row 1; a
+    step with no such pair is the exact zero, with no dot.  A row unit
+    multiplies a sum that is not an exact zero in one more dot, so the window
+    is that of unit * sum.  p_m is a scalar when no unit is given and first,
+    top[m] and both factors of each pair whose w[j] is not an exact zero are
+    scalars.
     """
     rw = {j: _row(c) for j, c in enumerate(w) if j and not _is_exact_zero(c)}
     p, rows, packs, size, one = [first], [_row(first)], {}, 1, YLaurent({0: 1})
     for m in range(1, len(w)):
         live = [j for j in rw if j <= m]
-        pairs = [(rw[j], rows[m - j]) for j in live]
-        if top is not None:
+        pairs = [(rw[j], rows[m - j]) for j in live if not _is_exact_zero(rows[m - j])]
+        if top is not None and not _is_exact_zero(top[m]):
             pairs.append((_row(top[m]), one))
-        row, size = _row_dot(pairs, packs, size, div[m])
-        if unit is not None:
+        row, size = _row_dot(pairs, packs, size, div[m]) if pairs else (YLaurent(), size)
+        if unit is not None and not _is_exact_zero(row):
             row, size = _row_dot([(unit, row)], packs, size)
         rows.append(row)
         scalar = (unit is None and _is_scalar(first) and (top is None or _is_scalar(top[m]))
@@ -567,18 +569,20 @@ def _row_recurrence(w, div, first, top=None, unit=None):
 def _generic_mul(a, b):
     """The Series product over YLaurent coefficients (polynomials or rows) and scalars.
 
-    Output row k is one packed dot over its pairs (_row_dot), over the lcm of
-    den_i den_j rather than one denominator per factor, which would double
-    the slot width where row denominators spread (u^2g / (2g)!).  A
-    coefficient with only scalar pairs stays a Fraction.
+    Output row k is one packed dot (_row_dot) over its pairs with no exact
+    zero, over the lcm of den_i den_j rather than one denominator per factor,
+    which would double the slot width where row denominators spread
+    (u^2g / (2g)!); a row with no such pair is the exact zero, with no dot.
+    A coefficient with only scalar pairs stays a Fraction.
     """
     lo, n = a.min_exp + b.min_exp, min(len(a.coeffs), len(b.coeffs))
     fa, fb = a.coeffs[:n], b.coeffs[:n]
-    ra, rb = ([_row(c) if _is_scalar(c) else c for c in f] for f in (fa, fb))
+    ra, rb = ({i: _row(c) for i, c in enumerate(f) if not _is_exact_zero(c)} for f in (fa, fb))
     scalars = any(map(_is_scalar, fa)) and any(map(_is_scalar, fb))
     packs, size, coeffs = {}, 1, []
     for k in range(n):
-        row, size = _row_dot([(ra[i], rb[k - i]) for i in range(k + 1)], packs, size)
+        pairs = [(x, rb[k - i]) for i, x in ra.items() if k - i in rb]
+        row, size = _row_dot(pairs, packs, size) if pairs else (YLaurent(), size)
         scalar = scalars and all(_is_scalar(fa[i]) and _is_scalar(fb[k - i]) for i in range(k + 1))
         coeffs.append(row.coeff(0) if scalar else row)
     return Series(a.var, lo, coeffs, lo + n - 1)

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from k3series import kkv
+from k3series import kkv, series
 from k3series.series import (
     Series,
     YLaurent,
@@ -297,10 +297,11 @@ def test_gw_pairs_sides_match_padded_windows():
 
 
 def test_point_and_audit_bivariates_keep_their_windows(monkeypatch):
+    # every chain step is certified through the u^u_order it serves
     for k in range(0, 3):
         for g_max, h_max in ((1, 0), (2, 3), (4, 5)):
             biv, _ = point_series_gw(k, g_max, h_max)
-            want = _padded_gw_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0))
+            want = _padded_gw_bivariate(k, 2 * g_max - 2, max(h_max - 1, 0)).truncate(2 * g_max)
             assert _fields(biv) == _fields(want), (k, g_max, h_max)
     built = []
     exact = kkv._gw_point_bivariate
@@ -309,7 +310,7 @@ def test_point_and_audit_bivariates_keep_their_windows(monkeypatch):
     quasimodularity_audit(2, 3)
     assert [k for k, _, _ in built] == [0, 1, 2]
     for k, u, q in built:
-        want = _padded_gw_bivariate(k, u - 2, q - 2)
+        want = _padded_gw_bivariate(k, u - 2, q - 2).truncate(u)
         assert _fields(exact(k, u, q)) == _fields(want), (k, u, q)
 
 
@@ -380,13 +381,14 @@ def _clear_kkv_caches():
 @pytest.mark.parametrize("ks", [list(range(7)), [6] + list(range(6))])
 def test_point_products_equal_powered_products(ks):
     # both point-insertion products equal the base times the k-th power of
-    # their point factor, field by field, whatever order k is asked in
+    # their point factor, field by field, whatever order k is asked in; the
+    # GW product is certified through the u^u_order its chain serves
     _clear_kkv_caches()
     for u_order, q_order in ((0, 0), (2, 1), (6, 3), (10, 5)):
         hodge = hodge_r_series(u_order, q_order)
         pf = gw_point_factor(u_order + 2, q_order + 1)
         for k in ks:
-            want = hodge * pf ** k if k else hodge
+            want = (hodge * pf ** k).truncate(u_order) if k else hodge
             got = kkv._gw_point_bivariate(k, u_order, q_order)
             assert _fields(got) == _fields(want), (k, u_order, q_order)
     for h in (0, 1, 3, 6):
@@ -488,6 +490,48 @@ def test_smaller_windows_read_the_longest_chains():
     assert _count_point_products(run) == (2, 2)
     for cached in (hodge_r_series, gw_point_factor, pairs_point_factor):
         assert cached.cache_info().misses == 1, cached
+
+
+def _row_dot_calls(monkeypatch, run):
+    """The pair list of every packed dot that run() forms."""
+    calls, plain = [], series._row_dot
+    monkeypatch.setattr(series, "_row_dot",
+                        lambda pairs, *args: calls.append(list(pairs)) or plain(pairs, *args))
+    run()
+    return calls
+
+
+def test_row_dots_pair_only_live_rows(monkeypatch):
+    # odd u-rows are exact zeros: a pair with one forms no product, and a row
+    # with no other pair is the exact zero without a dot
+    def exact_zero(r):
+        return not r.nums and r.hi is None
+    _clear_kkv_caches()
+    calls = _row_dot_calls(monkeypatch, lambda: (
+        hodge_r_series(18, 9), kkv.gw_pairs_grid(4, 2, 12), kkv.pairs_point_numerators(3, 8)))
+    assert calls
+    for pairs in calls:
+        assert pairs and not any(exact_zero(x) or exact_zero(y) for x, y in pairs)
+
+
+def test_chain_steps_stop_at_the_order_they_serve():
+    # each step is cut at its chain's top before the product: u^u_order for
+    # the GW chain, q^(h_max-1) for the pairs chain
+    _clear_kkv_caches()
+    for u_order, q_order in ((0, 0), (4, 2), (12, 5)):
+        for k in range(6):
+            assert kkv._gw_step(k, u_order, q_order).order == u_order, (k, u_order)
+    for h_max in (0, 1, 3, 8):
+        for k in range(6):
+            assert kkv._pairs_step(k, h_max).order == h_max - 1, (k, h_max)
+
+
+def test_pairs_steps_past_the_window_make_no_dot(monkeypatch):
+    # at h_max = 3 step k starts at q^(k-1), so every step k >= 4 is an empty
+    # window through q^2 and costs no packed dot
+    _clear_kkv_caches()
+    point_series_pairs_upto(3, 8, 3)
+    assert _row_dot_calls(monkeypatch, lambda: point_series_pairs_upto(13, 8, 3)) == []
 
 
 def test_negative_point_count_raises():
