@@ -295,3 +295,39 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "0,1,24" in proc.stdout
+
+
+# argv corpus for the parser oracle: help, typos, bad values and short runs;
+# E4_FILE stands for a weight-4 series file
+PARSER_CORPUS = [
+    ["--help"], ["-h"], [],
+    ["table", "--help"], ["verify", "--help"], ["recognize", "--help"], ["vertex", "-h"],
+    ["bogus"], ["--bogus"], ["tab"], ["--bogus", "table"], ["--help", "recognize"],
+    ["table", "--kind", "r", "extra"], ["recognize", "E4_FILE", "extra", "more"],
+    ["table", "--bogus"], ["vertex", "--mu", "1", "--bogus", "x"],
+    ["table", "--kind", "nope"], ["verify", "--suite", "nope"],
+    ["vertex", "--mu", "1", "--format", "xml"],
+    ["table", "--kind", "r", "--gmax", "-1"], ["recognize", "E4_FILE", "--weight-max", "-4"],
+    ["recognize", "E4_FILE", "--weight-max", "x"], ["table", "--kind"],
+    ["table"], ["verify"], ["vertex"], ["recognize"],
+    ["recognize", "E4_FILE", "-h"], ["vertex", "--mu", "1", "-h"],
+    ["recognize", "E4_FILE"], ["recognize", "E4_FILE", "--delta-pole", "--weight-max", "4"],
+    ["table", "--kind", "r", "--gmax", "1", "--hmax", "1", "--format", "text"],
+    ["verify", "--suite", "kkv", "--gmax", "1", "--hmax", "2"],
+    ["vertex", "--mu", "2,1", "--excess", "1", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda a: " ".join(a) or "empty")
+def test_main_matches_the_full_parser(argv, capsys, monkeypatch, tmp_path):
+    # exit code, stdout and stderr equal those of main run on the full
+    # four-command parser, built by the same interpreter
+    from k3series import cli
+    path = tmp_path / "e4.txt"
+    path.write_text(series_to_text(eisenstein(4, 20)))
+    argv = [str(path) if a == "E4_FILE" else a for a in argv]
+    got = main(list(argv)), capsys.readouterr()
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda *_: full())
+    want = main(list(argv)), capsys.readouterr()
+    assert got == want
