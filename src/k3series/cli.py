@@ -32,49 +32,54 @@ def _size(text):
     return value
 
 
-def _parser():
+def _parser(argv=()):
+    """The argparse tree: only the subparser argv[0] names, if any, else all four (help,
+    typos); the one-command usage line still lists all four, so its errors read the same."""
     p = argparse.ArgumentParser(
         prog="k3series",
         description="Exact BPS, Hodge, and stable-pairs series for K3 fibers.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", help="emit an invariant table")
-    t.add_argument("--kind", required=True,
-                   choices=["r", "R", "euler", "C", "euler_pk"])
-    t.add_argument("--gmax", type=_size, default=6)
-    t.add_argument("--hmax", type=_size, default=6)
-    t.add_argument("--nmax", type=_size, default=10)
-    t.add_argument("--k", type=_size, default=1, help="point insertions")
-    t.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    t.add_argument("--output", default="-")
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True,
-                   choices=["kkv", "points", "gwpt", "appendixB", "vertex"])
-    v.add_argument("--gmax", type=_size, default=6)
-    v.add_argument("--hmax", type=_size, default=6)
-    v.add_argument("--nmax", type=_size, default=10)
-    v.add_argument("--kmax", type=_size, default=2)
-    v.add_argument("--qorder", type=_size, default=20)
-    v.add_argument("--uorder", type=_size, default=12)
-    v.add_argument("--mu", default="1", help="partition, comma separated")
-    v.add_argument("--excess", type=_size, default=2)
-    v.add_argument("--output", default="-")
-
-    r = sub.add_parser("recognize", help="recognize a q-series as quasimodular")
-    r.add_argument("input", help="series file in the text format, or - for stdin")
-    r.add_argument("--weight-max", type=_size, default=12)
-    r.add_argument("--delta-pole", action="store_true",
-                   help="multiply by Delta(q) first (input has a q^-1 pole)")
-    r.add_argument("--output", default="-")
-
-    x = sub.add_parser("vertex", help="box configuration audit for a partition")
-    x.add_argument("--mu", required=True, help="partition, comma separated")
-    x.add_argument("--excess", type=_size, default=2)
-    x.add_argument("--audit", action="store_true",
-                   help="fail (exit 3) when a sign bound is violated")
-    x.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    x.add_argument("--output", default="-")
+    commands = ("table", "verify", "recognize", "vertex")
+    named = argv[:1] if argv[:1] and argv[0] in commands else commands
+    metavar = "{" + ",".join(commands) + "}" if len(named) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    if "table" in named:
+        t = sub.add_parser("table", help="emit an invariant table")
+        t.add_argument("--kind", required=True,
+                       choices=["r", "R", "euler", "C", "euler_pk"])
+        t.add_argument("--gmax", type=_size, default=6)
+        t.add_argument("--hmax", type=_size, default=6)
+        t.add_argument("--nmax", type=_size, default=10)
+        t.add_argument("--k", type=_size, default=1, help="point insertions")
+        t.add_argument("--format", default="json", choices=["json", "csv", "text"])
+        t.add_argument("--output", default="-")
+    if "verify" in named:
+        v = sub.add_parser("verify", help="run a verification suite")
+        v.add_argument("--suite", required=True,
+                       choices=["kkv", "points", "gwpt", "appendixB", "vertex"])
+        v.add_argument("--gmax", type=_size, default=6)
+        v.add_argument("--hmax", type=_size, default=6)
+        v.add_argument("--nmax", type=_size, default=10)
+        v.add_argument("--kmax", type=_size, default=2)
+        v.add_argument("--qorder", type=_size, default=20)
+        v.add_argument("--uorder", type=_size, default=12)
+        v.add_argument("--mu", default="1", help="partition, comma separated")
+        v.add_argument("--excess", type=_size, default=2)
+        v.add_argument("--output", default="-")
+    if "recognize" in named:
+        r = sub.add_parser("recognize", help="recognize a q-series as quasimodular")
+        r.add_argument("input", help="series file in the text format, or - for stdin")
+        r.add_argument("--weight-max", type=_size, default=12)
+        r.add_argument("--delta-pole", action="store_true",
+                       help="multiply by Delta(q) first (input has a q^-1 pole)")
+        r.add_argument("--output", default="-")
+    if "vertex" in named:
+        x = sub.add_parser("vertex", help="box configuration audit for a partition")
+        x.add_argument("--mu", required=True, help="partition, comma separated")
+        x.add_argument("--excess", type=_size, default=2)
+        x.add_argument("--audit", action="store_true",
+                       help="fail (exit 3) when a sign bound is violated")
+        x.add_argument("--format", default="json", choices=["json", "csv", "text"])
+        x.add_argument("--output", default="-")
     return p
 
 
@@ -313,11 +318,11 @@ def _run(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        return 0 if exc.code == 0 else 2
     try:
         return _run(args)
     except NotQuasimodular as exc:
@@ -331,6 +336,9 @@ def main(argv=None):
         return 2
     except (PrecisionError, AssertionError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("internal error: out of memory (too large an order or size)", file=sys.stderr)
         return 1
 
 

@@ -251,12 +251,25 @@ class QModElement:
 
 
 @lru_cache(maxsize=None)
+def _generator_ints(weight, order):
+    """(q^0..q^order of E_weight as ints, their largest |value|) for weight 2, 4 or 6."""
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    assert factor.denominator == 1
+    ints = (1,) + tuple(factor.numerator * s for s in _sigma_table(weight - 1, order)[1:])
+    return ints, max(map(abs, ints))
+
+
+@lru_cache(maxsize=None)
+def _generator_pack(weight, order, size):
+    return _pack(_generator_ints(weight, order)[0], size)
+
+
+@lru_cache(maxsize=None)
 def _monomial_coeffs(a, b, c, order):
     """q^0..q^order of E2^a E4^b E6^c as ints, built incrementally.
 
-    The cached column with one lower c (else b, else a) times the integer
-    expansion of E6 (else E4, else E2): one big-int product of the two packed
-    columns (series._pack), read back through q^order.
+    The cached column with one lower c (else b, else a), packed (series._pack), times
+    E6 (else E4, else E2) packed once per slot width, read back through q^order.
     """
     if order < 0:
         raise ValueError("window does not reach the monomial")
@@ -264,11 +277,9 @@ def _monomial_coeffs(a, b, c, order):
         return (1,) + (0,) * order
     key, weight = ((a, b, c - 1), 6) if c else ((a, b - 1, c), 4) if b else ((a - 1, b, c), 2)
     prev = _monomial_coeffs(*key, order)
-    gen = _eisenstein_coeffs(weight, order)
-    assert all(x.denominator == 1 for x in gen)
-    gen = [x.numerator for x in gen]
-    size = _slot_bytes((order + 1) * max(map(abs, prev)) * max(map(abs, gen)))
-    return tuple(_unpack(_pack(prev, size) * _pack(gen, size), order + 1, size))
+    size = _slot_bytes((order + 1) * max(map(abs, prev)) * _generator_ints(weight, order)[1])
+    gen = _generator_pack(weight, order, size)
+    return tuple(_unpack(_pack(prev, size) * gen, order + 1, size))
 
 
 def qmod_expand(elem, order):

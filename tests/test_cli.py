@@ -331,3 +331,40 @@ def test_main_matches_the_full_parser(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_parser", lambda *_: full())
     want = main(list(argv)), capsys.readouterr()
     assert got == want
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["recognize", "series.txt"], ["recognize"]),
+    (["table", "--kind", "r"], ["table"]),
+    (["--help"], ["table", "verify", "recognize", "vertex"]),
+    (["tab"], ["table", "verify", "recognize", "vertex"]),
+    ([], ["table", "verify", "recognize", "vertex"]),
+])
+def test_parser_builds_only_the_named_command(argv, choices):
+    import argparse
+    from k3series import cli
+    p = cli._parser(argv)
+    (action,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == choices
+
+
+def test_full_parser_names_the_command_argument(capsys):
+    # the full tree keeps argparse's own name for the command in its errors
+    assert main([]) == 2
+    assert "error: the following arguments are required: command\n" in capsys.readouterr().err
+    assert main(["tab"]) == 2
+    assert "error: argument command: invalid choice: 'tab'" in capsys.readouterr().err
+
+
+def test_recognize_out_of_memory_exits_1(capsys, monkeypatch, tmp_path):
+    # a header such as order=99999999999 makes the columns too large to build
+    from k3series import cli
+
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "qmod_recognize", exhausted)
+    path = tmp_path / "e4.txt"
+    path.write_text(series_to_text(eisenstein(4, 20)))
+    assert main(["recognize", str(path)]) == 1
+    assert capsys.readouterr() == ("", "internal error: out of memory (too large an order or size)\n")

@@ -449,6 +449,30 @@ def test_monomial_columns_are_ints_equal_to_eisenstein_products():
         _monomial_coeffs(1, 0, 0, -1)
 
 
+def test_monomial_columns_pack_each_generator_once_per_slot_width(monkeypatch):
+    # from cold caches, each product packs its lower column, and E2, E4 or E6
+    # is packed once per slot width it is multiplied at
+    for obj in vars(modforms).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    order = 48
+    gens = {tuple(int(x) for x in eisenstein(w, order).coeffs) for w in (2, 4, 6)}
+    packs = []
+    real_pack = modforms._pack
+
+    def counted(vals, size):
+        packs.append((tuple(vals), size))
+        return real_pack(vals, size)
+
+    monkeypatch.setattr(modforms, "_pack", counted)
+    basis = weight_basis(16)
+    for key in basis:
+        _monomial_coeffs(*key, order)
+    products = len(basis) - 1
+    gen_pairs = {(vals, size) for vals, size in packs if vals in gens}
+    assert len(packs) <= products + len(gen_pairs)
+
+
 def _fraction_expand(elem, order):
     """qmod_expand as a sum of Fraction-scaled monomial series, the reference
     for the int column sum."""
