@@ -8,6 +8,7 @@ quasimodular, 5 insufficient precision.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from k3series import cli
 from k3series.cli import main
 from k3series.series import Series, series_to_text
 from k3series.modforms import eisenstein
@@ -322,7 +324,6 @@ PARSER_CORPUS = [
 def test_main_matches_the_full_parser(argv, capsys, monkeypatch, tmp_path):
     # exit code, stdout and stderr equal those of main run on the full
     # four-command parser, built by the same interpreter
-    from k3series import cli
     path = tmp_path / "e4.txt"
     path.write_text(series_to_text(eisenstein(4, 20)))
     argv = [str(path) if a == "E4_FILE" else a for a in argv]
@@ -341,8 +342,6 @@ def test_main_matches_the_full_parser(argv, capsys, monkeypatch, tmp_path):
     ([], ["table", "verify", "recognize", "vertex"]),
 ])
 def test_parser_builds_only_the_named_command(argv, choices):
-    import argparse
-    from k3series import cli
     p = cli._parser(argv)
     (action,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(action.choices) == choices
@@ -358,8 +357,6 @@ def test_full_parser_names_the_command_argument(capsys):
 
 def test_recognize_out_of_memory_exits_1(capsys, monkeypatch, tmp_path):
     # a header such as order=99999999999 makes the columns too large to build
-    from k3series import cli
-
     def exhausted(*_):
         raise MemoryError
 
