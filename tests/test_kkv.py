@@ -492,6 +492,30 @@ def test_smaller_windows_read_the_longest_chains():
         assert cached.cache_info().misses == 1, cached
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_a_session_pass_builds_each_gw_chain_once(seed):
+    # the benchmark's pass: the pairs tables through h = 8, then the grid in
+    # its seeded order; the u = 8 and u = 12 chains each build their Hodge
+    # base once, through the pairs chain's h window
+    points = list(YQ_GRID)
+    random.Random(f"yq-session:{seed}").shuffle(points)
+    _clear_kkv_caches()
+    for k in range(4):
+        point_series_pairs(k, 12, 8)
+    for point in points:
+        assert gw_pairs_check(*point).equal, point
+    assert hodge_r_series.cache_info().misses == 2
+
+
+def test_a_longer_pairs_chain_alone_rebuilds_no_gw_chain():
+    _clear_kkv_caches()
+    gw_pairs_check(3, 0, 8)
+    point_series_pairs(0, 12, 8)
+    gw_pairs_check(3, 0, 8)
+    gw_pairs_check(2, 1, 8)
+    assert hodge_r_series.cache_info().misses == 1
+
+
 def _row_dot_calls(monkeypatch, run):
     """The pair list of every packed dot that run() forms."""
     calls, plain = [], series._row_dot
