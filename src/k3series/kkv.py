@@ -8,8 +8,8 @@ Delta(q) and its two-variable refinement Delta(y, q).  The module builds
   * Euler characteristics of stable-pairs moduli and their point-constrained
     refinements C^k_{n,h} (each point-insertion product is a running chain,
     one point-factor multiplication per k through u^u_order or q^(h_max-1)
-    only, grown to the largest window asked for so far; a smaller window
-    reads a prefix of it),
+    only, grown to the largest window asked for so far, and a GW chain on a
+    check through the pairs chain's h window; a smaller window reads a prefix),
   * the variable change y = -exp(iu) connecting the two sides, exact as
     the power sums of trig_substitute: [u^2j] of a symmetric row is
     (-1)^j/(2j)! sum_e (-1)^e c_e e^2j.
@@ -36,10 +36,10 @@ from .series import (
     _row,
     _row_recurrence,
     _scaled,
+    _z_numerators,
     series_inv,
     series_log,
     sin_half_square,
-    symmetric_to_z,
     trig_substitute,
     weighted_product,
 )
@@ -171,15 +171,14 @@ def bps_r_table(g_max, h_max):
     inv = inv_discriminant_yq(max(h_max - 1, -1))
     entries = {}
     for h in range(0, h_max + 1):
-        zs = symmetric_to_z(inv.coeff(h - 1))
-        top = len(zs) - 1
-        if any(zs[g] for g in range(h + 1, top + 1)):
+        zs, den = _z_numerators(inv.coeff(h - 1))
+        if any(zs[h + 1:]):
             raise AssertionError(f"BPS row h={h} has z-degree above h")
         for g in range(0, g_max + 1):
-            v = Fraction((-1) ** g) * (zs[g] if g < len(zs) else Fraction(0))
-            if v.denominator != 1:
+            v = zs[g] if g < len(zs) else 0
+            if v % den:
                 raise AssertionError(f"BPS count r_{{{g},{h}}} is not an integer")
-            entries[(g, h)] = v
+            entries[(g, h)] = _sign(g) * (v // den)
     return InvariantTable("r", entries)
 
 
@@ -315,6 +314,7 @@ def _ascending_extract(row, n_lo, n_max, alternate=False):
 
     It is n S0 - S1, S0 and S1 the running sums of c_e and e c_e over e < n;
     alternating, c_e enters as (-1)^e c_e and the value is times (-1)^(n-1).
+    The values are ints over an integral row, Fractions otherwise.
     """
     out, s0, s1, e, top = [], 0, 0, row.lo, row.lo + len(row.nums)
     for n in range(n_lo, n_max + 1):
@@ -322,8 +322,8 @@ def _ascending_extract(row, n_lo, n_max, alternate=False):
             c = -row.nums[e - row.lo] if alternate and e % 2 else row.nums[e - row.lo]
             s0, s1, e = s0 + c, s1 + e * c, e + 1
         v = n * s0 - s1
-        out.append(Fraction(-v if alternate and n % 2 == 0 else v, row.den))
-    return out
+        out.append(-v if alternate and n % 2 == 0 else v)
+    return out if row.den == 1 else [Fraction(v, row.den) for v in out]
 
 
 def _ascending_values(row, h, n_max):
@@ -410,26 +410,27 @@ def _pairs_chain():
     return []
 
 
-def _step(k, chain, window, base, factor):
+def _step(k, chain, window, base, factor, reach=0):
     """Step k of a point-insertion chain through `window` or past it: the chain
-    is rebuilt at `window` only when that exceeds its own, and each missing
-    step is the last one times the factor, so every k costs one product.
-    Each product forms no row past the top the chain serves (the base's
-    outer order): the last step is first cut to top - factor.min_exp."""
+    is rebuilt only when `window` exceeds its own, then through max(window,
+    reach), and each missing step is the last one times the factor, so every k
+    costs one product.  Each product forms no row past the top the chain serves
+    (the base's outer order): the last step is first cut to top - factor.min_exp."""
     if k < 0:
         raise ValueError("the number of point insertions must be >= 0")
     if not chain or chain[0] < window:
-        chain[:] = window, [base(window)], lambda: factor(window)
+        w = max(window, reach)
+        chain[:] = w, [base(w)], lambda: factor(w)
     while len(chain[1]) <= k:
         f = chain[2]()
         chain[1].append(chain[1][-1].truncate(chain[1][0].order - f.min_exp) * f)
     return chain[1][k]
 
 
-def _gw_step(k, u_order, q_order):
+def _gw_step(k, u_order, q_order, reach=0):
     """Step k of the GW chain at u_order, through q^q_order or past it."""
     return _step(k, _gw_chain(u_order), q_order, lambda q: hodge_r_series(u_order, q),
-                 lambda q: gw_point_factor(u_order + 2, q + 1))
+                 lambda q: gw_point_factor(u_order + 2, q + 1), reach)
 
 
 def _pairs_step(k, h_max):
@@ -545,15 +546,18 @@ def _inv_s2(order):
 def gw_pairs_check(h, k, u_order):
     """Compare both sides of the variable change y = -exp(iu) at fixed (h, k).
 
-    GW side: the q^{h-1} u-slice of hodge_r_series * gw_point_factor^k,
-    built through u^u_order and q^max(h-1, 0).  Pairs side: the closed
-    rational form through u^(u_order+2) by trig_substitute, times 1/s^2
-    (from u^-2).  Exact equality on the common window through u^u_order.
-    Both sides read the longest chain so far, whose extra rows change nothing.
+    Pairs side, asked first: row h of the pairs chain as the closed rational
+    form through u^(u_order+2) by trig_substitute, times 1/s^2 (from u^-2).
+    GW side: the q^{h-1} u-slice of hodge_r_series * gw_point_factor^k through
+    u^u_order; a chain short of q^max(h-1, 0) is (re)built through the pairs
+    chain's h window H, to q^max(H-1, 0).  Exact equality on the common window
+    through u^u_order.  Both sides read the longest chain so far, whose extra
+    rows change nothing.
     """
-    gw_u = u_slice(_gw_step(k, u_order, max(h - 1, 0)), h - 1).truncate(u_order)
     # flip y -> -y: sum_n C^k y^n q^{h-1} = (-1)^k / Delta(-y,q) * PF(-y,q)^k / (y + 2 + 1/y)
     numerator = _row(_pairs_step(k, h).coeff(h - 1)).substitute_neg() * Fraction((-1) ** k)
+    gw = _gw_step(k, u_order, max(h - 1, 0), _pairs_chain()[0] - 1)
+    gw_u = u_slice(gw, h - 1).truncate(u_order)
     pairs_u = (trig_substitute(numerator, u_order + 2) * _inv_s2(u_order + 2)).truncate(u_order)
 
     if min(gw_u.order, pairs_u.order) < u_order:
@@ -564,8 +568,8 @@ def gw_pairs_check(h, k, u_order):
 
 def gw_pairs_grid(h_max, k_max, u_order):
     """{(h, k): gw_pairs_check(h, k, u_order)} for k <= k_max, then h <= h_max,
-    once each side's chain is grown to the largest window of the grid."""
-    _gw_step(k_max, u_order, max(h_max - 1, 0))
+    once the pairs chain is grown to h_max: the first check then builds the
+    GW chain through that h window, so neither chain is rebuilt."""
     _pairs_step(k_max, h_max)
     return {(h, k): gw_pairs_check(h, k, u_order)
             for k in range(k_max + 1) for h in range(h_max + 1)}

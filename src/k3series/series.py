@@ -513,24 +513,24 @@ def _row_dot(pairs, packs, size, div=1):
     so no later row can reuse the id.  A pair is certified through
     min(hi_x + lo_y, hi_y + lo_x), as a YLaurent product is.
     """
-    rows = {id(r): r for pair in pairs for r in pair}
-    for key, r in rows.items():
-        if key not in packs:
-            packs[key] = [r, max(map(abs, r.nums), default=0), 0, 0]
-    den = lcm(*[x.den * y.den for x, y in pairs])
-    bound = sum(den // (x.den * y.den) * min(len(x.nums), len(y.nums))
-                * packs[id(x)][1] * packs[id(y)][1] for x, y in pairs)
-    size = max(size, -(-_slot_bytes(max([bound] + [packs[key][1] for key in rows])) // 4) * 4)
-    for key, r in rows.items():
-        if packs[key][2] != size:
-            packs[key][2:] = size, _pack(r.nums, size)
-    inf = float("inf")
-    hi = min(min(inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
-             for x, y in pairs)
-    floor = min(x.lo + y.lo for x, y in pairs)
-    top = max(x.lo + y.lo + len(x.nums) + len(y.nums) - 2 for x, y in pairs)
-    acc = sum(packs[id(x)][3] * (den // (x.den * y.den)) * packs[id(y)][3]
-              << 8 * size * (x.lo + y.lo - floor) for x, y in pairs)
+    ents = []
+    for x, y in pairs:
+        px, py = (packs.get(id(r)) or packs.setdefault(
+            id(r), [r, max(map(abs, r.nums), default=0), 0, 0]) for r in (x, y))
+        ents.append((x, y, px, py, x.den * y.den))
+    den, bound, peak, inf = lcm(*[e[4] for e in ents]), 0, 0, float("inf")
+    floor, hi, top, acc = inf, inf, -inf, 0
+    for x, y, px, py, d in ents:
+        bound += den // d * min(len(x.nums), len(y.nums)) * px[1] * py[1]
+        peak, floor = max(peak, px[1], py[1]), min(floor, x.lo + y.lo)
+    size = max(size, -(-_slot_bytes(max(bound, peak)) // 4) * 4)
+    for x, y, px, py, d in ents:
+        for r, p in ((x, px), (y, py)):
+            if p[2] != size:
+                p[2:] = size, _pack(r.nums, size)
+        hi = min(hi, inf if x.hi is None else x.hi + y.lo, inf if y.hi is None else y.hi + x.lo)
+        top = max(top, x.lo + y.lo + len(x.nums) + len(y.nums) - 2)
+        acc += px[3] * (den // d) * py[3] << 8 * size * (x.lo + y.lo - floor)
     m = min(top, hi) - floor + 1
     return YLaurent._normalized(floor, _unpack(acc, m, size) if m > 0 else [], den * div,
                                 None if hi == inf else hi), size
@@ -739,11 +739,8 @@ def _w_numerators(p):
     return out, p.den
 
 
-def symmetric_to_z(p):
-    """Coefficients of a symmetric YLaurent in the basis z^g, z = y - 2 + 1/y.
-
-    Returns [a_0, a_1, ...]; the z-degree equals the y-degree of p.
-    """
+def _z_numerators(p):
+    """(a, den) with p = sum_g a[g] z^g / den, z = y - 2 + 1/y, a over int."""
     b, den = _w_numerators(p)
     out = [0] * len(b)
     # w = z + 2, so w^d = sum_g C(d,g) 2^(d-g) z^g
@@ -753,7 +750,16 @@ def symmetric_to_z(p):
                 out[g] += bd * comb(d, g) * 2 ** (d - g)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return [Fraction(x, den) for x in out]
+    return out, den
+
+
+def symmetric_to_z(p):
+    """Coefficients of a symmetric YLaurent in the basis z^g, z = y - 2 + 1/y.
+
+    Returns [a_0, a_1, ...]; the z-degree equals the y-degree of p.
+    """
+    nums, den = _z_numerators(p)
+    return [Fraction(x, den) for x in nums]
 
 
 def sin_half_square(order):

@@ -79,6 +79,34 @@ def test_bps_integrality_and_vanishing():
             assert v == 0
 
 
+def test_integer_tables_hold_ints():
+    euler = ky_euler_table(12, 10)
+    for table in (bps_r_table(8, 10), euler, signed_euler_table(euler),
+                  point_series_pairs(2, 12, 8)):
+        assert all(type(v) is int for v in table.entries.values()), table.kind
+
+
+def _halved_inv_discriminant_yq(monkeypatch):
+    # rows of 1/Delta(y,q) over 2: row h = 1 has odd numerators, so some
+    # Euler characteristics and BPS counts are halves
+    def halved(order, plain=kkv.inv_discriminant_yq):
+        inv = plain(order)
+        return Series("q", inv.min_exp, [_row(c) * Fraction(1, 2) for c in inv.coeffs], inv.order)
+    monkeypatch.setattr(kkv, "inv_discriminant_yq", halved)
+
+
+def test_euler_integrality_check_fires(monkeypatch):
+    _halved_inv_discriminant_yq(monkeypatch)
+    with pytest.raises(AssertionError, match="Euler characteristic is not an integer"):
+        ky_euler_table(6, 3)
+
+
+def test_bps_integrality_check_fires(monkeypatch):
+    _halved_inv_discriminant_yq(monkeypatch)
+    with pytest.raises(AssertionError, match="is not an integer"):
+        bps_r_table(4, 3)
+
+
 def test_refined_row_one_is_symmetric():
     inv = inv_discriminant_yq(1)
     row = inv.coeff(0)
