@@ -48,8 +48,8 @@ from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq
 
 
 def format_rational(x):
-    """Render a Fraction as 'p' or 'p/q' (never a float)."""
-    x = Fraction(x)
+    """Render an int or a Fraction as 'p' or 'p/q' (never a float)."""
+    x = x if type(x) is int else Fraction(x)  # an int (not a bool) builds no Fraction
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -135,10 +135,10 @@ class CorrespondenceReport:
 def inv_discriminant_q(order):
     """1/Delta(q) = q^-1 prod (1-q^n)^-24, certified from q^-1 through q^order.
 
-    The product is weighted_product's integer log-derivative recurrence,
-    O(order^2); no series inversion.
+    The product is weighted_product's power recurrence on Euler's pentagonal
+    series, O(order^1.5), its int row shifted by q^-1; no series inversion.
     """
-    return Series("q", -1, weighted_product({}, order + 1, default=-24).coeffs, order)
+    return _as_series(_row(weighted_product({}, order + 1, default=-24)), "q", -1)
 
 
 @lru_cache(maxsize=None)

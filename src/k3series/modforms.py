@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
-from .series import (Series, YLaurent, _cleared, _pack, _power, _row_recurrence, _slot_bytes,
-                     _unpack, parse_rational, weighted_product)
+from .series import (Series, YLaurent, _as_series, _cleared, _pack, _power, _row_recurrence,
+                     _row, _slot_bytes, _unpack, parse_rational, weighted_product)
 
 
 class NotQuasimodular(Exception):
@@ -89,9 +89,8 @@ def eisenstein(weight, order):
 
 
 def discriminant_q(order):
-    """Delta(q) = q * prod (1 - q^n)^24, certified to the given order."""
-    prod = weighted_product({}, order - 1, default=24)
-    return Series("q", 1, prod.coeffs, order)
+    """Delta(q) = q * prod (1 - q^n)^24 to the given order: weighted_product's row times q."""
+    return _as_series(_row(weighted_product({}, order - 1, default=24)), "q", 1)
 
 
 def discriminant_yq(order):
@@ -284,12 +283,12 @@ def _monomial_coeffs(a, b, c, order):
 
 def qmod_expand(elem, order):
     """Expand an element of Q[E2,E4,E6] into a certified q-series: the int monomial
-    columns summed over the coefficients' common denominator, one Fraction each."""
+    columns summed over the coefficients' common denominator, as one row."""
     nums, den = _cleared(list(elem.terms.values()))
     acc = [0] * (order + 1)
     for key, c in zip(elem.terms, nums):
         acc = [a + c * x for a, x in zip(acc, _monomial_coeffs(*key, order))]
-    return Series("q", 0, [Fraction(x, den) for x in acc], order)
+    return _as_series(YLaurent._normalized(0, acc, den, order), "q")
 
 
 def qmod_derive(elem):

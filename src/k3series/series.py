@@ -8,22 +8,23 @@ series always means coefficient-wise equality on the common certified window.
 
 Coefficients may be int/Fraction or YLaurent; no coefficient is ever a float.
 The kernels run over int rows: a YLaurent is a dense list of int numerators
-over one denominator, and the same layout with a window holds a rational
-q-series, so a scalar product is one convolution.  Each ring has one
-recurrence, which series_inv, series_exp, series_log and the eta products
-run: _running_recurrence over int, with a running common denominator, and
-_row_recurrence over rows (the windowed u-coefficients of a (u, q) series,
-the y-polynomials of a (y, q) series), one packed big-int dot product per
-step (Kronecker substitution, _row_dot), as is each output row of a
-two-variable product.  Powers are one square-and-multiply loop (_power).  A
-(u, q) series is a u-Series of windowed q-rows or exact scalars, where an
-exact zero imposes no inner window; a Series coefficient raises TypeError.
+over one denominator, and a rational Series stores that row with its window,
+so a scalar product is one convolution.  Each ring has one recurrence for
+series_inv, series_exp and series_log: _running_recurrence over int, with a
+running common denominator, and _row_recurrence over rows (the windowed
+u-coefficients of a (u, q) series, the y-polynomials of a (y, q) series), one
+packed big-int dot product per step (Kronecker substitution, _row_dot), as is
+each output row of a two-variable product.  Eta products are sparse powers of
+Euler's pentagonal series (_sparse_power), other powers one square-and-multiply
+loop (_power).  A (u, q) series is a u-Series of windowed q-rows or exact
+scalars, where an exact zero imposes no inner window; a Series coefficient
+raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import mul
 
 
@@ -231,7 +232,8 @@ class Series:
 
     coeffs[i] is the coefficient of var^(min_exp + i); the window is
     certified through var^order inclusive.  An empty window (order ==
-    min_exp - 1) is a valid "nothing known" series.
+    min_exp - 1) is a valid "nothing known" series.  A series is never mutated,
+    so a rational one keeps its int row (_row); coeffs builds Fractions on first read.
     """
 
     def __init__(self, var, min_exp, coeffs, order=None):
@@ -244,10 +246,15 @@ class Series:
         while coeffs and _is_exact_zero(coeffs[0]):
             coeffs.pop(0)
             min_exp += 1
-        self.var = var
-        self.min_exp = min_exp
-        self.order = order
-        self.coeffs = coeffs
+        self.var, self.min_exp, self.order, self._c, self._r = var, min_exp, order, coeffs, None
+
+    @property
+    def coeffs(self):
+        if self._c is None:
+            r = self._r
+            pad = [Fraction(0)] * (r.hi - r.lo + 1 - len(r.nums))
+            self._c = [Fraction(x, r.den) for x in r.nums] + pad
+        return self._c
 
     @classmethod
     def zero(cls, var, order, min_exp=0):
@@ -261,9 +268,7 @@ class Series:
     def monomial(cls, var, exp, coeff, order):
         if order < exp:
             raise ValueError("window does not reach the monomial")
-        coeffs = [Fraction(0)] * (order - exp + 1)
-        coeffs[0] = coeff
-        return cls(var, exp, coeffs, order)
+        return cls(var, exp, [coeff] + [Fraction(0)] * (order - exp), order)
 
     def coeff(self, k):
         if k > self.order:
@@ -282,14 +287,19 @@ class Series:
     def truncate(self, order):
         if order > self.order:
             raise PrecisionError("cannot extend a certified window")
-        if order < self.min_exp:
-            return Series(self.var, order + 1, [], order)
-        return Series(self.var, self.min_exp, self.coeffs[: order - self.min_exp + 1], order)
+        if _scalar_coeffs(self):
+            r = _row(self)
+            nums = r.nums[:max(order - r.lo + 1, 0)]
+            return _as_series(YLaurent._normalized(r.lo, nums, r.den, order), self.var)
+        lo = min(self.min_exp, order + 1)  # an empty window past the cut
+        return Series(self.var, lo, self.coeffs[:order - lo + 1], order)
 
     def scale(self, c):
         """Multiply every coefficient by a fixed ring element (exact zero: exact zeros)."""
         if _is_scalar(c) and c == 0:
             return Series.zero(self.var, self.order, self.min_exp)
+        if _is_scalar(c) and _scalar_coeffs(self):
+            return _as_series(_scaled(_row(self), c), self.var)
         return Series(self.var, self.min_exp, [c * a for a in self.coeffs], self.order)
 
     def _check_var(self, other):
@@ -466,18 +476,23 @@ def _running_recurrence(w, div, first, top=None):
 
 
 def _row(c):
-    """A row as it is; a scalar, or a Series of scalars (windowed), as one YLaurent row."""
+    """A row as it is; a scalar, or a Series of scalars (windowed, cleared once), as one row."""
     if isinstance(c, YLaurent):
         return c
     if isinstance(c, Series):
-        return YLaurent._normalized(c.min_exp, *_cleared(c.coeffs), c.order)
+        if c._r is None:
+            c._r = YLaurent._normalized(c.min_exp, *_cleared(c.coeffs), c.order)
+        return c._r
     return YLaurent._normalized(0, *_cleared([c]))
 
 
-def _as_series(r, var):
-    """A windowed row as a var-Series of Fractions."""
-    pad = [Fraction(0)] * (r.hi - r.lo + 1 - len(r.nums))
-    return Series(var, r.lo, [Fraction(x, r.den) for x in r.nums] + pad, r.hi)
+def _as_series(r, var, shift=0):
+    """The var-Series backed by the windowed row r times var^shift; no Fraction is built."""
+    if shift:
+        r = YLaurent._normalized(r.lo + shift, r.nums, r.den, r.hi + shift)
+    out = object.__new__(Series)
+    out.var, out.min_exp, out.order, out._c, out._r = var, r.lo, r.hi, None, r
+    return out
 
 
 def _scaled(c, f):
@@ -490,7 +505,7 @@ def _scaled(c, f):
 
 def _scalar_coeffs(a):
     """True if all coefficients of a are scalars, False if the rest are YLaurent, else TypeError."""
-    if all(map(_is_scalar, a.coeffs)):
+    if a._r is not None or all(map(_is_scalar, a.coeffs)):
         return True
     if all(isinstance(c, YLaurent) or _is_scalar(c) for c in a.coeffs):
         return False
@@ -599,7 +614,7 @@ def series_inv(a):
     b_k = -b_0 sum_{j=1..k} a_j b_{k-j} as _row_recurrence: a row b_0 through
     unit -b_0, a scalar b_0 = N / D folded into w_j = -N a_j and div D.
     """
-    if not a.coeffs:
+    if a.order < a.min_exp:
         raise ValueError("cannot invert a series with an empty window")
     m = a.min_exp
     if _scalar_coeffs(a):
@@ -613,11 +628,6 @@ def series_inv(a):
         out = _row_recurrence([_scaled(c, -b0.numerator) for c in a.coeffs],
                               [b0.denominator] * n, b0)
     return Series(a.var, -m, out, a.order - 2 * m)
-
-
-def _padded(r, n):
-    """The numerators of a row at exponents 0..n-1 (r.lo >= 0)."""
-    return ([0] * r.lo + r.nums + [0] * n)[:n]
 
 
 def series_exp(a):
@@ -636,7 +646,7 @@ def series_exp(a):
     n = a.order + 1
     if _scalar_coeffs(a):
         r = _row(a)
-        w = [-j * v for j, v in enumerate(_padded(r, n))]
+        w = [-j * v for j, v in enumerate(([0] * r.lo + r.nums + [0] * n)[:n])]
         nums, den = _running_recurrence(w, [k * r.den for k in range(n)], (1, 1))
         return _as_series(YLaurent._normalized(0, nums, den, a.order), a.var)
     d = [_scaled(a.coeff(j), j) for j in range(n)]
@@ -653,20 +663,20 @@ def series_log(a):
     common denominator (_running_recurrence); rows run b_k = k e_k -
     sum_j e_j b_{k-j} (e = a - 1, b_0 = 0) as _row_recurrence.
     """
-    eps = a - 1
-    if eps.coeffs and eps.min_exp < 1:
-        raise ValueError("series_log needs an exact scalar 1 constant term")
     order = a.order
-    if not eps.coeffs:
-        return Series.zero(a.var, order)
+    if order < 0:
+        raise PrecisionError("window does not reach exponent 0")
+    if a.min_exp < 0 or not _is_exact_zero((a if a._r is None else a._r).coeff(0) - 1):
+        raise ValueError("series_log needs an exact scalar 1 constant term")
     if _scalar_coeffs(a):
         r = _row(a)
-        x = _padded(r, order + 1)
+        x = r.nums + [0] * (order + 1 - len(r.nums))  # r.lo = 0 by the check above
         b, den = _running_recurrence(x, [r.den] * (order + 1), (0, 1),
                                      [k * v for k, v in enumerate(x)])
         f = lcm(*(k // gcd(v, k) for k, v in enumerate(b) if k))  # l_k = b_k / k over den * f
         nums = [v * f // k if k else 0 for k, v in enumerate(b)]
         return _as_series(YLaurent._normalized(0, nums, den * f, order), a.var)
+    eps = a - 1
     e = [eps.coeff(k) for k in range(order + 1)]
     b = _row_recurrence([_scaled(c, -1) for c in e], [1] * (order + 1), Fraction(0),
                         [_scaled(c, k) for k, c in enumerate(e)])
@@ -676,6 +686,10 @@ def series_log(a):
 
 def q_derive(a):
     """The operator q d/dq (or var d/dvar): multiply coefficient k by k."""
+    if _scalar_coeffs(a):
+        r = _row(a)
+        nums = [k * x for k, x in enumerate(r.nums, r.lo)]
+        return _as_series(YLaurent._normalized(r.lo, nums, r.den, r.hi), a.var)
     coeffs = [k * a.coeffs[k - a.min_exp] for k in range(a.min_exp, a.order + 1)]
     return Series(a.var, a.min_exp, coeffs, a.order)
 
@@ -698,23 +712,40 @@ def weighted_product(exponents, order, default=0):
     """Product over n >= 1 of (1 - q^n)^e(n), expanded exactly to order.
 
     exponents maps n to an integer exponent; missing n fall back to default.
-    The log-derivative q d/dq log P = -sum_m c_m q^m has c_m = sum_{n|m} n e(n),
-    read off a divisor sieve; the coefficients then follow from the integer
-    recurrence m p_m = -sum_{j=1..m} c_j p_{m-j} in O(order^2) operations
-    (_running_recurrence), whose common denominator must come out 1.
+    Euler's prod (1 - q^n) = sum_{i in Z} (-1)^i q^(i(3i-1)/2) has O(sqrt(order))
+    terms, so its default power by Miller's recurrence (_sparse_power) takes
+    O(order^1.5) int operations; each n with another exponent multiplies in
+    (1 - q^n)^(e(n) - default), the same recurrence on 1 - q^n.  Row-backed.
     """
     if order < 0:
         raise ValueError("window does not reach the constant term")
-    c = [0] * (order + 1)
-    for n in range(1, order + 1):
-        e = exponents.get(n, default)
-        if e:
-            for m in range(n, order + 1, n):
-                c[m] += n * e
-    nums, den = _running_recurrence(c, range(order + 1), (1, 1))
-    if den != 1:
-        raise AssertionError("integer log-derivative recurrence is not exact")
-    return Series("q", 0, [Fraction(v) for v in nums], order)
+    r = isqrt(order)  # |i| <= r covers every pentagonal number up to order
+    pent = sorted((i * (3 * i - 1) // 2, (-1) ** (i % 2)) for i in range(-r, r + 1)
+                  if 0 < i * (3 * i - 1) // 2 <= order)
+    p = _sparse_power(pent, default, order + 1)
+    for m, e in exponents.items():
+        if 0 < m <= order and e != default:
+            p = _conv(p, _sparse_power([(m, -1)], e - default, order + 1), order + 1)
+    return _as_series(YLaurent._normalized(0, p, 1, order), "q")
+
+
+def _sparse_power(s, k, n):
+    """P_0..P_{n-1} of P = S^k (int k), S = 1 + sum s_g q^g over the (g, s_g) in s, sorted by g.
+
+    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): q P' S = k q S' P gives m P_m =
+    sum_g ((k + 1) g - m) s_g P_{m-g}, exact over int (a remainder raises AssertionError).
+    """
+    p, w = [1] + [0] * (n - 1), [(g, (k + 1) * g * c, c) for g, c in s]
+    for m in range(1, n):
+        t = 0
+        for g, a, c in w:  # s is sorted by g
+            if g > m:
+                break
+            t += (a - m * c) * p[m - g]
+        p[m], rem = divmod(t, m)
+        if rem:
+            raise AssertionError("integer power recurrence is not exact")
+    return p
 
 
 def _w_numerators(p):

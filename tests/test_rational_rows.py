@@ -14,10 +14,13 @@ import hashlib
 import random
 from fractions import Fraction
 
-from k3series.kkv import inv_discriminant_q
+import pytest
+
+from k3series.kkv import format_rational, inv_discriminant_q
 from k3series.modforms import QModElement, discriminant_q, qmod_expand
 from k3series.series import (
     Series,
+    _row,
     q_derive,
     series_exp,
     series_inv,
@@ -103,3 +106,102 @@ PINNED = {
 def test_rational_kernel_corpus_is_pinned():
     got = {k: hashlib.sha256("".join(v).encode()).hexdigest() for k, v in corpus().items()}
     assert got == PINNED
+
+
+# -- no Fraction per coefficient ------------------------------------------------
+
+def row_backed(rng, lo, n, lead=None):
+    """A row-backed series: the product of a Fraction-built series with 1."""
+    return series(rng, lo, n, lead) * Series.one("q", lo + n + 3)
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_rational_kernels_build_no_fraction_per_coefficient(monkeypatch, n):
+    rng = random.Random(n)
+    a, b, lau = row_backed(rng, 0, n), row_backed(rng, 0, n + 3), row_backed(rng, -1, n)
+    unit, pos = row_backed(rng, 0, n, Fraction(1)), row_backed(rng, 1, n)
+    elem, c = QModElement({(1, 0, 0): Fraction(1, 3), (0, 1, 0): 2}), Fraction(-3, 7)
+    runs = {
+        "series_inv": lambda: series_inv(a), "series_inv(Laurent)": lambda: series_inv(lau),
+        "series_exp": lambda: series_exp(pos), "series_log": lambda: series_log(unit),
+        "mul": lambda: a * b, "mul(Laurent)": lambda: lau * b, "scale": lambda: a * c,
+        "rscale": lambda: 3 * lau, "q_derive": lambda: q_derive(lau),
+        "truncate": lambda: a.truncate(n // 2),
+        "weighted_product": lambda: weighted_product({1: 2, 5: -3}, n, -24),
+        "discriminant_q": lambda: discriminant_q(n),
+        "inv_discriminant_q": lambda: inv_discriminant_q.__wrapped__(n),
+        "qmod_expand": lambda: qmod_expand(elem, n),
+    }
+    calls = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    counts = {}
+    for name, run in runs.items():
+        calls[0] = 0
+        run()
+        counts[name] = calls[0]
+    monkeypatch.undo()
+    assert max(counts.values()) <= 4, counts
+    # a Fraction-built series is cleared once; a row-backed one builds its Fractions once
+    built = series(rng, 0, n)
+    assert _row(built) is _row(built)
+    out = series_inv(a)
+    assert out.coeffs is out.coeffs and all(type(x) is Fraction for x in out.coeffs)
+    assert series_to_text(out) == series_to_text(Series("q", 0, list(out.coeffs), out.order))
+
+
+# -- an independent oracle for weighted_product ----------------------------------
+
+def sieve_weighted_product(exponents, order, default=0):
+    """prod (1 - q^n)^e(n) over int by the log-derivative recurrence.
+
+    q d/dq log P = -sum_m c_m q^m with c_m = sum_{n | m} n e(n), read off a
+    divisor sieve, and m p_m = -sum_{j=1..m} c_j p_{m-j}: O(order^2), and no
+    pentagonal series.
+    """
+    c = [0] * (order + 1)
+    for n in range(1, order + 1):
+        for m in range(n, order + 1, n):
+            c[m] += n * exponents.get(n, default)
+    p = [1] + [0] * order
+    for m in range(1, order + 1):
+        p[m], rem = divmod(-sum(c[j] * p[m - j] for j in range(1, m + 1)), m)
+        assert rem == 0
+    return p
+
+
+@pytest.mark.parametrize("default", DEFAULTS)
+def test_weighted_product_matches_the_divisor_sieve(default):
+    order = 150
+    for exponents in ({}, {1: 2, 2: -3, 5: 1, 7: 0, 11: -24}):
+        got = weighted_product(exponents, order, default=default)
+        want = sieve_weighted_product(exponents, order, default)
+        assert got.window() == (0, order)
+        assert got.coeffs == [Fraction(v) for v in want]
+        assert all(type(v) is int for v in _row(got).nums)
+
+
+def test_weighted_product_ignores_exponents_off_its_window():
+    order = 12
+    want = weighted_product({3: 5}, order, default=-1)
+    assert weighted_product({0: 7, -2: 1, 3: 5, 13: 4, 40: -9}, order, default=-1) == want
+
+
+def test_weighted_product_checks_its_integer_division():
+    # (1 - q)^(1/2) is not over int: the first division by m leaves a remainder
+    with pytest.raises(AssertionError):
+        weighted_product({1: Fraction(1, 2)}, 4)
+
+
+# -- rendering --------------------------------------------------------------------
+
+def test_format_rational_renders_ints_and_fractions():
+    cases = [(0, "0"), (-17, "-17"), (10 ** 30, str(10 ** 30)), (True, "1"), (False, "0"),
+             (Fraction(-3, 7), "-3/7"), (Fraction(12, 4), "3"), (Fraction(-8, 2), "-4")]
+    for x, want in cases:
+        assert format_rational(x) == want
