@@ -9,16 +9,15 @@ series always means coefficient-wise equality on the common certified window.
 Coefficients may be int/Fraction or YLaurent; no coefficient is ever a float.
 The kernels run over int rows: a YLaurent is a dense list of int numerators
 over one denominator, and a rational Series stores that row with its window,
-so a scalar product is one convolution.  Each ring has one recurrence for
-series_inv, series_exp and series_log: _running_recurrence over int, with a
-running common denominator, and _row_recurrence over rows (the windowed
-u-coefficients of a (u, q) series, the y-polynomials of a (y, q) series), one
-packed big-int dot product per step (Kronecker substitution, _row_dot), as is
-each output row of a two-variable product.  Eta products are sparse powers of
-Euler's pentagonal series (_sparse_power), other powers one square-and-multiply
-loop (_power).  A (u, q) series is a u-Series of windowed q-rows or exact
-scalars, where an exact zero imposes no inner window; a Series coefficient
-raises TypeError.
+so a scalar product is one convolution.  series_inv, series_exp and series_log
+run one recurrence per ring: _running_recurrence over int, with a running
+common denominator, and _row_recurrence over rows (the windowed u-coefficients
+of a (u, q) series, the y-polynomials of a (y, q) series), one packed big-int
+dot product per step (Kronecker substitution, _row_dot), as is each output row
+of a two-variable product.  Eta products are powers of Euler's sparse
+pentagonal series (_sparse_power), other powers square-and-multiply (_power).
+A (u, q) series is a u-Series of windowed q-rows or exact scalars, where an
+exact zero imposes no inner window; a Series coefficient raises TypeError.
 """
 
 from __future__ import annotations
@@ -285,10 +284,11 @@ class Series:
         return all(c == 0 for c in self.coeffs)
 
     def truncate(self, order):
+        """The series certified only through var^order: a row is cut, a list sliced."""
         if order > self.order:
             raise PrecisionError("cannot extend a certified window")
-        if _scalar_coeffs(self):
-            r = _row(self)
+        if self._r is not None:
+            r = self._r
             nums = r.nums[:max(order - r.lo + 1, 0)]
             return _as_series(YLaurent._normalized(r.lo, nums, r.den, order), self.var)
         lo = min(self.min_exp, order + 1)  # an empty window past the cut
