@@ -284,10 +284,10 @@ class Series:
         return all(c == 0 for c in self.coeffs)
 
     def truncate(self, order):
-        """The series certified only through var^order: a row is cut, a list sliced."""
+        """Certified only through var^order: a built Fraction list is sliced, else the row cut."""
         if order > self.order:
             raise PrecisionError("cannot extend a certified window")
-        if self._r is not None:
+        if self._c is None:
             r = self._r
             nums = r.nums[:max(order - r.lo + 1, 0)]
             return _as_series(YLaurent._normalized(r.lo, nums, r.den, order), self.var)
