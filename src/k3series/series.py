@@ -709,13 +709,12 @@ def first_mismatch(a, b):
 
 
 def weighted_product(exponents, order, default=0):
-    """Product over n >= 1 of (1 - q^n)^e(n), expanded exactly to order.
+    """Product over n >= 1 of (1 - q^n)^e(n), expanded exactly to order, row-backed.
 
     exponents maps n to an integer exponent; missing n fall back to default.
     Euler's prod (1 - q^n) = sum_{i in Z} (-1)^i q^(i(3i-1)/2) has O(sqrt(order))
-    terms, so its default power by Miller's recurrence (_sparse_power) takes
-    O(order^1.5) int operations; each n with another exponent multiplies in
-    (1 - q^n)^(e(n) - default), the same recurrence on 1 - q^n.  Row-backed.
+    terms, so Miller's recurrence (_sparse_power) raises it to the default in
+    O(order^1.5); each other e(n) folds in (1 - q^n)^(e(n) - default), O(order^2 / n).
     """
     if order < 0:
         raise ValueError("window does not reach the constant term")
@@ -724,8 +723,9 @@ def weighted_product(exponents, order, default=0):
                   if 0 < i * (3 * i - 1) // 2 <= order)
     p = _sparse_power(pent, default, order + 1)
     for m, e in exponents.items():
-        if 0 < m <= order and e != default:
-            p = _conv(p, _sparse_power([(m, -1)], e - default, order + 1), order + 1)
+        if 0 < m <= order and e != default:  # times (1 - x)^(e - default), x = q^m
+            f = _sparse_power([(1, -1)], e - default, order // m + 1)
+            p = p[:m] + [sum(map(mul, f, p[t::-m])) for t in range(m, order + 1)]
     return _as_series(YLaurent._normalized(0, p, 1, order), "q")
 
 

@@ -19,6 +19,7 @@ import pytest
 from k3series.kkv import format_rational, inv_discriminant_q
 from k3series.modforms import QModElement, discriminant_q, qmod_expand
 from k3series.series import (
+    PrecisionError,
     Series,
     _row,
     q_derive,
@@ -155,6 +156,17 @@ def test_rational_kernels_build_no_fraction_per_coefficient(monkeypatch, n):
     assert series_to_text(out) == series_to_text(Series("q", 0, list(out.coeffs), out.order))
 
 
+def test_series_log_checks_the_constant_term_of_a_row():
+    one = Series.one("q", 6)
+    for lo, lead in ((0, Fraction(2)), (1, Fraction(1)), (-1, Fraction(1))):
+        a = Series("q", lo, [lead, Fraction(1, 3)], lo + 1) * one
+        with pytest.raises(ValueError, match="exact scalar 1 constant term"):
+            series_log(a)
+    with pytest.raises(PrecisionError, match="window does not reach exponent 0"):
+        series_log(Series("q", -3, [Fraction(1)], -3) * Series.one("q", 0))
+    assert series_log(one).window() == (7, 6)  # log 1 = 0 on the whole window
+
+
 # -- an independent oracle for weighted_product ----------------------------------
 
 def sieve_weighted_product(exponents, order, default=0):
@@ -178,7 +190,8 @@ def sieve_weighted_product(exponents, order, default=0):
 @pytest.mark.parametrize("default", DEFAULTS)
 def test_weighted_product_matches_the_divisor_sieve(default):
     order = 150
-    for exponents in ({}, {1: 2, 2: -3, 5: 1, 7: 0, 11: -24}):
+    dense = {n: n % 5 - 2 for n in range(1, order + 1)}  # every factor folded in
+    for exponents in ({}, {1: 2, 2: -3, 5: 1, 7: 0, 11: -24}, dense):
         got = weighted_product(exponents, order, default=default)
         want = sieve_weighted_product(exponents, order, default)
         assert got.window() == (0, order)
