@@ -48,8 +48,9 @@ from .modforms import _sigma_table, bernoulli, discriminant_q, discriminant_yq
 
 
 def format_rational(x):
-    """Render an int or a Fraction as 'p' or 'p/q' (never a float)."""
-    x = x if type(x) is int else Fraction(x)  # an int (not a bool) builds no Fraction
+    """Render an int or a Fraction as 'p' or 'p/q' (never a float); both are read as
+    they are, and anything else (a bool, say) goes through Fraction first."""
+    x = x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

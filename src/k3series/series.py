@@ -832,13 +832,14 @@ def series_to_text(a):
     """
     if a.var not in ("q", "u", "y"):
         raise ValueError(f"text format only covers q, u, y series (got {a.var})")
-    lines = [f"var={a.var} order={a.order}"]
-    for k in range(a.min_exp, a.order + 1):
-        c = a.coeff(k)
-        if not _is_scalar(c):
-            raise ValueError("text format only covers rational coefficients")
-        c = Fraction(c)
-        lines.append(f"{k}: {c.numerator}/{c.denominator}")
+    if a._r is None and not all(map(_is_scalar, a.coeffs)):
+        raise ValueError("text format only covers rational coefficients")
+    # a series starts at a nonzero coefficient, so its row starts at min_exp too
+    r, lines = _row(a), [f"var={a.var} order={a.order}"]
+    for i in range(a.order - a.min_exp + 1):  # one gcd per coefficient, no Fraction
+        x = r.nums[i] if i < len(r.nums) else 0
+        g = gcd(x, r.den)
+        lines.append(f"{a.min_exp + i}: {x // g}/{r.den // g}")
     return "\n".join(lines) + "\n"
 
 

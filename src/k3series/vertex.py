@@ -17,7 +17,9 @@ rho(k), k < 0; write Nbar = -t3 N(1/t1, 1/t2, 1/t3).  Then H = P/(1 - t3) with
 
 so H is a Laurent polynomial exactly when every (a, b) column of P sums to
 zero over c, and then H_{a,b,c} is the sum of P_{a,b,c'} over c' <= c.
-vertex_H and divisibility_audit both certify those column sums.
+vertex_H certifies every column.  divisibility_audit sums P's diagonal,
+non-positive-t3 terms pair by pair from the template of mu, and certifies
+one materialized P per audit.
 """
 
 from __future__ import annotations
@@ -92,18 +94,6 @@ class BoxConfig:
         out.mu, out.nus, out.size = mu, nus, size
         return out
 
-    def levels(self):
-        return len(self.nus)
-
-    def rho(self, k):
-        """Boxes of the skew diagram at x3-degree k (empty below -m, mu above -1)."""
-        m = len(self.nus)
-        if k < -m:
-            return []
-        nu = () if k >= 0 else self.nus[k + m]
-        return [(a, b) for b, part in enumerate(self.mu)
-                for a in range(nu[b] if b < len(nu) else 0, part)]
-
     def chain_key(self):
         return (self.size, self.nus)
 
@@ -146,22 +136,6 @@ def enumerate_configs(mu, excess):
     return out
 
 
-def profile_c(rho_boxes):
-    """Diagonal counts: c[r] = number of boxes with a - b = r."""
-    out = {}
-    for a, b in rho_boxes:
-        out[a - b] = out.get(a - b, 0) + 1
-    return out
-
-
-def profile_d(rho_boxes):
-    """First differences along diagonals: d[r] = c[r] - c[r+1]."""
-    c = profile_c(rho_boxes)
-    rs = set(c)
-    rs.update(r - 1 for r in c)
-    return {r: c.get(r, 0) - c.get(r + 1, 0) for r in sorted(rs)}
-
-
 def profile_formula_value(config):
     """Closed form for the specialized constant term of the vertex series.
 
@@ -171,6 +145,7 @@ def profile_formula_value(config):
     d is additive on skew diagrams, so d(rho_k) = d(mu) - d(nus[k + m]) and
     c_0(rho_-1) = c_0(mu) - c_0(nus[-1]): the level differences are the
     differences of consecutive chain vectors, and the k = 0 term is d(nus[-1]).
+    An int, unless the half-sum is odd.
     """
     mu, nus = config.mu, config.nus
     span = (-len(mu), mu[0] if mu else 0)
@@ -178,7 +153,7 @@ def profile_formula_value(config):
     total = vecs[0][1] - vecs[-1][1]
     for (d, sq, _), (e, sq_next, _) in zip(vecs, vecs[1:]):
         total -= sq + sq_next - 2 * sum(map(mul, d, e))
-    return Fraction(total, 2) - (vecs[0][2] - vecs[-1][2])
+    return (Fraction(total, 2) if total % 2 else total // 2) - (vecs[0][2] - vecs[-1][2])
 
 
 @lru_cache(maxsize=None)
@@ -260,18 +235,24 @@ def _div_1mt3(num):
 
 @lru_cache(maxsize=None)
 def _template(mu):
-    """The boxes of mu, and per ordered pair (i, j) of boxes the (a, b)
-    parts (a - 1, b - 1, a, b) of its four keys, (a, b) = box i - box j."""
+    """The boxes of mu; per ordered pair (i, j) of boxes the (a, b) parts
+    (a - 1, b - 1, a, b) of its four keys, (a, b) = box i - box j; the boxes
+    with a = b; and (i, j, w), i < j, for boxes whose contents a - b differ by
+    at most 1, w = -2 if equal and +1 if not: the weight of the keys on a = b."""
     cells = tuple(boxes(mu))
     pairs = tuple((i, j, a1 - a2 - 1, b1 - b2 - 1, a1 - a2, b1 - b2)
                   for i, (a1, b1) in enumerate(cells) for j, (a2, b2) in enumerate(cells))
-    return cells, pairs
+    diagonal = tuple(i for i, (a, b) in enumerate(cells) if a == b)
+    near = tuple((i, j, -2 if a1 - b1 == a2 - b2 else 1)
+                 for i, (a1, b1) in enumerate(cells) for j, (a2, b2) in enumerate(cells)
+                 if i < j and abs(a1 - b1 - a2 + b2) <= 1)
+    return cells, pairs, diagonal, near
 
 
 def _add_terms(out, mu, depth):
     """Add N - Nbar/(t1 t2 t3) + N Nbar (1-t1)(1-t2)/(t1 t2 t3) to out, where N
     puts box i of mu at t3^-depth[i]; a pair of boxes adds at t3^(depth j - depth i)."""
-    cells, pairs = _template(mu)
+    cells, pairs = _template(mu)[:2]
     get = out.get
     for (a, b), d in zip(cells, depth):
         out[a, b, -d] = get((a, b, -d), 0) + 1
@@ -296,9 +277,13 @@ def _numerator(config, bracket):
     N = G + (1 - t3) L puts each box (a, b) of mu at t3^-d, d the number of
     chain levels that miss it.
     """
+    return _add_terms({k: -v for k, v in bracket.items()}, config.mu, _depth(config))
+
+
+def _depth(config):
+    """Per box of mu, the number of chain levels that miss it."""
     mu = config.mu
-    depth = list(map(sum, zip(*[_missed(mu, nu) for nu in config.nus])))
-    return _add_terms({k: -v for k, v in bracket.items()}, mu, depth)
+    return list(map(sum, zip(*[_missed(mu, nu) for nu in config.nus])))
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +319,7 @@ def _specialized_constant(p):
                 total += v
     if any(cols.values()):
         raise NotPolynomial("(1 - t3) denominator did not cancel")
-    return Fraction(total)
+    return total
 
 
 def constant_term_specialized(h):
@@ -351,14 +336,20 @@ def divisibility_audit(mu, excess):
 
     Per config: the direct specialized constant term of H, the closed
     profile formula, their agreement, and the non-positivity bounds (< 0
-    strictly when the size exceeds |mu|).
+    strictly when the size exceeds |mu|).  The direct term sums P's diagonal,
+    non-positive-t3 terms from the template: -1 per diagonal box at depth > 0,
+    and -w per ordered near pair (i, j) with depth j > depth i, that is per
+    unordered one at two depths.  The P of the largest configuration is built
+    and certified, and its term must agree, or AssertionError is raised.
     """
     mu = normalize_partition(mu)
-    bracket = _bracket(mu)
+    _, _, diagonal, near = _template(mu)
     rows = []
     violations = 0
     for config in enumerate_configs(mu, excess):
-        direct = _specialized_constant(_numerator(config, bracket))
+        depth = _depth(config)
+        direct = (-sum(depth[i] > 0 for i in diagonal)
+                  - sum(w for i, j, w in near if depth[i] != depth[j]))
         formula = profile_formula_value(config)
         strict = config.size > sum(mu)
         ok = (direct == formula) and direct <= 0 and (not strict or direct <= -1)
@@ -374,5 +365,8 @@ def divisibility_audit(mu, excess):
             "nonpositive": direct <= 0,
             "strict_ok": (direct <= -1) if strict else True,
         })
+    # enumerate_configs sorts by size, so the loop ends at the largest configuration
+    if _specialized_constant(_numerator(config, _bracket(mu))) != direct:
+        raise AssertionError(f"pair sum disagrees with the numerator P at {config!r}")
     return {"mu": list(mu), "excess": excess, "configs": len(rows),
             "violations": violations, "rows": rows}

@@ -21,6 +21,7 @@ from k3series.modforms import QModElement, discriminant_q, qmod_expand
 from k3series.series import (
     PrecisionError,
     Series,
+    YLaurent,
     _row,
     q_derive,
     series_exp,
@@ -122,6 +123,7 @@ def test_rational_kernels_build_no_fraction_per_coefficient(monkeypatch, n):
     a, b, lau = row_backed(rng, 0, n), row_backed(rng, 0, n + 3), row_backed(rng, -1, n)
     unit, pos = row_backed(rng, 0, n, Fraction(1)), row_backed(rng, 1, n)
     elem, c = QModElement({(1, 0, 0): Fraction(1, 3), (0, 1, 0): 2}), Fraction(-3, 7)
+    fracs = [Fraction(k, 7) for k in range(-n, n)]
     runs = {
         "series_inv": lambda: series_inv(a), "series_inv(Laurent)": lambda: series_inv(lau),
         "series_exp": lambda: series_exp(pos), "series_log": lambda: series_log(unit),
@@ -132,6 +134,8 @@ def test_rational_kernels_build_no_fraction_per_coefficient(monkeypatch, n):
         "discriminant_q": lambda: discriminant_q(n),
         "inv_discriminant_q": lambda: inv_discriminant_q.__wrapped__(n),
         "qmod_expand": lambda: qmod_expand(elem, n),
+        "series_to_text": lambda: series_to_text(lau),
+        "format_rational": lambda: [format_rational(x) for x in fracs],
     }
     calls = [0]
     new = Fraction.__new__
@@ -212,6 +216,20 @@ def test_weighted_product_checks_its_integer_division():
 
 
 # -- rendering --------------------------------------------------------------------
+
+def test_series_to_text_renders_each_coefficient_in_lowest_terms():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    for lo, coeffs in [(0, [0, 0, 0]), (-1, [half, 0, 3, 0, 0]), (2, [third, half, 0, 6, 0])]:
+        built = Series("q", lo, coeffs)
+        want = "".join([f"var=q order={built.order}\n"] + [
+            f"{k}: {Fraction(c).numerator}/{Fraction(c).denominator}\n"
+            for k, c in zip(range(built.min_exp, built.order + 1), built.coeffs)])
+        row = built * Series.one("q", built.order + 1)  # keeps the window at floors >= -1
+        assert row._c is None and row._r is not None
+        assert series_to_text(row) == series_to_text(built) == want
+    with pytest.raises(ValueError, match="rational coefficients"):
+        series_to_text(Series("q", 0, [YLaurent({1: 1})]))
+
 
 def test_format_rational_renders_ints_and_fractions():
     cases = [(0, "0"), (-17, "-17"), (10 ** 30, str(10 ** 30)), (True, "1"), (False, "0"),

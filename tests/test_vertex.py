@@ -24,8 +24,6 @@ from k3series.vertex import (
     divisibility_audit,
     enumerate_configs,
     normalize_partition,
-    profile_c,
-    profile_d,
     profile_formula_value,
     subdiagrams,
     vertex_H,
@@ -106,8 +104,8 @@ def _mul_pow_1mt3(num, p):
 def _oracle_F(config):
     """Torus-weight generating function of the module encoded by the chain."""
     f = Laurent3({(a, b, 0): 1 for (a, b) in boxes(config.mu)}, e=1)
-    for k in range(-config.levels(), 0):
-        f = f + Laurent3({(a, b, k): 1 for (a, b) in config.rho(k)})
+    for k in range(-len(config.nus), 0):
+        f = f + Laurent3({(a, b, k): 1 for (a, b) in _rho(config, k)})
     return f
 
 
@@ -150,9 +148,9 @@ def test_normalize_partition():
 
 def test_boxes_and_profiles():
     assert boxes((2, 1)) == [(0, 0), (1, 0), (0, 1)]
-    c = profile_c(boxes((2, 1)))
+    c = _profile_c(boxes((2, 1)))
     assert c == {0: 1, 1: 1, -1: 1}
-    d = profile_d(boxes((2, 1)))
+    d = _profile_d(boxes((2, 1)))
     assert d[-1] == 0 and d[0] == 0 and d[1] == 1 and d[-2] == -1
 
 
@@ -171,9 +169,9 @@ def test_config_validation():
         BoxConfig((2,), ((2,), (1,), (2,)))  # must weakly decrease
     cfg = BoxConfig((2,), ((2,), (1,), (1,)))
     assert cfg.size == 2
-    assert cfg.rho(0) == boxes((2,))
-    assert cfg.rho(-1) == [(1, 0)]
-    assert cfg.rho(-3) == []
+    assert _rho(cfg, 0) == boxes((2,))
+    assert _rho(cfg, -1) == [(1, 0)]
+    assert _rho(cfg, -3) == []
 
 
 def test_enumeration_budget_and_order():
@@ -289,6 +287,19 @@ def test_perturbed_numerator_raises_not_polynomial(monkeypatch):
         divisibility_audit((2, 1), 2)
 
 
+def test_pair_sum_equals_the_numerator_constant_term():
+    # every configuration of every partition with |mu| <= 5 at excess <= 3
+    checked = 0
+    for mu in [nu for nu in subdiagrams((5,) * 5) if sum(nu) <= 5]:
+        bracket = vertex._bracket(mu)
+        for cfg, row in zip(enumerate_configs(mu, 3), divisibility_audit(mu, 3)["rows"]):
+            want = vertex._specialized_constant(vertex._numerator(cfg, bracket))
+            assert row["direct"] == want, cfg
+            assert type(row["direct"]) is type(row["formula"]) is int
+            checked += 1
+    assert checked == 1348
+
+
 def test_audit_builds_no_laurent3(monkeypatch):
     expected = divisibility_audit((2, 2), 2)
 
@@ -300,10 +311,36 @@ def test_audit_builds_no_laurent3(monkeypatch):
     assert divisibility_audit((2, 2), 2) == expected
 
 
+def _rho(config, k):
+    """Boxes of the skew diagram at x3-degree k (empty below -m, mu above -1)."""
+    m = len(config.nus)
+    if k < -m:
+        return []
+    nu = () if k >= 0 else config.nus[k + m]
+    return [(a, b) for b, part in enumerate(config.mu)
+            for a in range(nu[b] if b < len(nu) else 0, part)]
+
+
+def _profile_c(rho_boxes):
+    """Diagonal counts: c[r] = number of boxes with a - b = r."""
+    out = {}
+    for a, b in rho_boxes:
+        out[a - b] = out.get(a - b, 0) + 1
+    return out
+
+
+def _profile_d(rho_boxes):
+    """First differences along diagonals: d[r] = c[r] - c[r+1]."""
+    c = _profile_c(rho_boxes)
+    rs = set(c)
+    rs.update(r - 1 for r in c)
+    return {r: c.get(r, 0) - c.get(r + 1, 0) for r in sorted(rs)}
+
+
 def _oracle_formula(config):
     """The profile formula level by level, over the box lists of rho(k)."""
-    m = config.levels()
-    d_by_level = {k: profile_d(config.rho(k)) for k in range(-m, 1)}
+    m = len(config.nus)
+    d_by_level = {k: _profile_d(_rho(config, k)) for k in range(-m, 1)}
     rs = set()
     for d in d_by_level.values():
         rs.update(d)
@@ -314,7 +351,7 @@ def _oracle_formula(config):
             prev = d_by_level.get(k - 1, {}).get(r, 0)
             square_sum += (d_by_level[k].get(r, 0) - prev) ** 2
         total += d_by_level[0].get(r, 0) ** 2 - square_sum
-    return Fraction(total, 2) - profile_c(config.rho(-1)).get(0, 0)
+    return Fraction(total, 2) - _profile_c(_rho(config, -1)).get(0, 0)
 
 
 def _oracle_terms(cells):
