@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3series import cli, kkv, vertex
+from k3series import cli, kkv, lowgenus, vertex
 from k3series.modforms import bernoulli
 
 
@@ -42,6 +42,65 @@ def test_log_identity_check_fails_on_a_forged_divisor_sum(monkeypatch):
     monkeypatch.setattr(kkv, "_sigma_table", forged)
     rep = kkv.log_identity_check(6, 4)
     assert (rep.bivariate_equal, rep.scalar_equal) == (False, True)
+
+
+def _forge_bernoulli_4(monkeypatch):
+    """kkv's B_4 off by 1/7."""
+    monkeypatch.setattr(kkv, "bernoulli",
+                        lambda n: bernoulli(n) + (Fraction(1, 7) if n == 4 else 0))
+
+
+def _forge_sigma_3_of_2(monkeypatch):
+    """kkv's sigma_3(2) off by 1."""
+    real = kkv._sigma_table
+
+    def forged(power, order):
+        sig = list(real(power, order))
+        if power == 3 and order >= 2:
+            sig[2] += 1
+        return tuple(sig)
+
+    monkeypatch.setattr(kkv, "_sigma_table", forged)
+
+
+@pytest.fixture
+def cold_caches():
+    """Every kkv and lowgenus cache empty before and after, so that no table
+    built from a forged input outlives its test and none built before it hides it."""
+    def clear():
+        for mod in (kkv, lowgenus):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_verify_gwpt_names_the_first_mismatch_of_a_forged_divisor_sum(
+        capsys, monkeypatch, cold_caches):
+    # sigma_3(2) enters E_4's q^2 term, so the Hodge row q^1 (h = 2) first
+    # differs at u^2, where u^-2 exp(A) reads A's u^4 row
+    _forge_sigma_3_of_2(monkeypatch)
+    argv = ["verify", "--suite", "gwpt", "--hmax", "4", "--kmax", "2", "--uorder", "12"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")][0] == (
+        "FAIL gw_pairs_h2_k0 (first mismatch at u^2)")
+    assert out.endswith("suite gwpt: FAILED\n")
+
+
+def test_verify_appendixB_names_the_boundary_rows_of_a_forged_bernoulli_number(
+        capsys, monkeypatch, cold_caches):
+    # B_4 enters the direct Hodge table from genus 2 on, and neither the ring
+    # forms nor the strata identities, so exactly two closed forms disagree
+    _forge_bernoulli_4(monkeypatch)
+    assert cli.main(["verify", "--suite", "appendixB", "--hmax", "4", "--qorder", "12"]) == 3
+    captured = capsys.readouterr()
+    assert [ln for ln in captured.out.splitlines() if ln.startswith("FAIL")] == [
+        "FAIL boundary_R_genus2 (closed form disagrees with the direct table)",
+        "FAIL boundary_R_genus3 (closed form disagrees with the direct table)"]
+    assert "internal error" not in captured.out + captured.err
 
 
 def _forge_formula_at(monkeypatch, chain):

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from k3series import kkv, series
+from k3series.modforms import _sigma_table, bernoulli
 from k3series.series import (
     Series,
     YLaurent,
     _row,
     series_exp,
     series_inv,
+    series_log,
     sin_half_square,
     trig_substitute,
 )
@@ -178,6 +180,30 @@ def test_hodge_series_equals_product_oracle():
                 hodge_r_series(u_order, q_order)
             continue
         assert _fields(hodge_r_series(u_order, q_order)) == _fields(want), (u_order, q_order)
+
+
+def _gw_point_factor_oracle(u_order, q_order):
+    """The point factor from its divisor sums: [u^2g q^m] is (-1)^(g+1) 2 m sigma_{2g-1}(m) / (2g)!."""
+    coeffs = [Fraction(0)] * max(u_order - 1, 0)
+    for j in range(2, u_order + 1, 2):
+        sig = _sigma_table(j - 1, q_order)
+        inner = [(-1) ** (j // 2 + 1) * 2 * m * sig[m] for m in range(1, q_order + 1)]
+        coeffs[j - 2] = YLaurent._normalized(1, inner, factorial(j), q_order)
+    return Series("u", 2, coeffs, u_order)
+
+
+def test_gw_point_factor_equals_divisor_sum_oracle():
+    # field by field on every window u, q in 0..29; a window the oracle
+    # cannot build raises the same exception type
+    for u_order in range(30):
+        for q_order in range(30):
+            try:
+                want = _gw_point_factor_oracle(u_order, q_order)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    gw_point_factor(u_order, q_order)
+                continue
+            assert _fields(gw_point_factor(u_order, q_order)) == _fields(want), (u_order, q_order)
 
 
 @pytest.mark.parametrize("build, window", [(hodge_r_series, (-1, 5)), (gw_point_factor, (1, 4))])
@@ -352,6 +378,18 @@ def test_gw_h0_k0_sides_are_inverse_sine_square():
 def test_log_identity_small():
     rep = log_identity_check(6, 4)
     assert rep.bivariate_equal and rep.scalar_equal and rep.equal
+
+
+def test_log_identity_scalar_side_is_the_bernoulli_sum():
+    # log S(u) = sum_g (-1)^g B_2g/(2g (2g)!) u^2g, which is -1/2 the q^0 column
+    # of the KKV exponent, the scalar side log_identity_check compares
+    for order in range(1, 24):
+        want = Series("u", 2, [Fraction((-1) ** (j // 2)) * bernoulli(j) / (j * factorial(j))
+                               if j % 2 == 0 else Fraction(0) for j in range(2, order + 1)], order)
+        got = Fraction(-1, 2) * kkv.u_slice(kkv._bernoulli_eisenstein(order, 0), 0)
+        assert got.window() == want.window() and got == want, order
+        log_s = Fraction(1, 2) * series_log(Series("u", 0, sin_half_square(order + 2).coeffs, order))
+        assert log_s == want, order
 
 
 def test_quasimodularity_audit_structure():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from k3series import lowgenus
-from k3series.modforms import qmod_expand
+from k3series.modforms import c_form, qmod_expand
 from k3series.lowgenus import (
     boundary_R,
     identity_checks,
@@ -74,6 +74,18 @@ def test_boundary_reuses_identity_details():
         assert boundary_R(genus, 10, 24).matches_kkv, genus
     assert lowgenus._identity.cache_info().misses == 11
     assert lowgenus._forms.cache_info().misses == 1
+
+
+def test_boundary_closed_forms_equal_the_hand_entered_ones():
+    # Delta times the Hodge rows, as the KKV exponent gives them in C2, C4, C6
+    c2, c4, c6 = (c_form(weight, 0)[1] for weight in (2, 4, 6))
+    hand = {
+        1: Fraction(-2) * c2,
+        2: Fraction(2) * c2 * c2 + Fraction(2) * c4,
+        3: -(Fraction(4, 3) * c2 ** 3 + Fraction(4) * c2 * c4 + Fraction(2) * c6),
+    }
+    for genus, want in hand.items():
+        assert boundary_R(genus, 2, 10).closed_form == want, genus
 
 
 def test_boundary_genus_one_closed_form():
