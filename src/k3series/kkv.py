@@ -184,7 +184,8 @@ def bps_r_table(g_max, h_max):
 
 
 def _bernoulli_eisenstein(u_order, q_order):
-    """sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified to q_order.
+    """The KKV exponent A = sum_{g>=1} u^{2g} |B_2g|/(g (2g)!) E_2g(q), E_2g certified
+    to q_order: the one place sigma and the Bernoulli numbers enter A.
 
     Since E_2g = 1 - (4g/B_2g) sum sigma_{2g-1}(n) q^n, row 2g is the int
     row |B_2g|/(g (2g)!) - (4 sgn(B_2g)/(2g)!) sum sigma_{2g-1}(n) q^n.
@@ -388,15 +389,13 @@ def pairs_point_factor(q_order):
 def gw_point_factor(u_order, q_order):
     """sum_m q^m sum_{d|m} (m/d) (2 sin(du/2))^2 as a nested (u, q) series.
 
-    Since sum_{d|m} (m/d) d^{2g} = m sigma_{2g-1}(m), the coefficient of
-    u^{2g} q^m is (-1)^{g+1} 2 m sigma_{2g-1}(m) / (2g)!.
+    Its coefficient of u^{2g} q^m is (-1)^{g+1} 2 m sigma_{2g-1}(m) / (2g)!,
+    so it is -1/2 q d/dq of the KKV exponent A, read off A's rows in one pass.
     """
-    coeffs = [Fraction(0)] * max(u_order - 1, 0)
-    for j in range(2, u_order + 1, 2):
-        sig = _sigma_table(j - 1, q_order)
-        inner = [_sign(j // 2 + 1) * 2 * m * sig[m] for m in range(1, q_order + 1)]
-        coeffs[j - 2] = YLaurent._normalized(1, inner, factorial(j), q_order)
-    return Series("u", 2, coeffs, u_order)
+    rows = [r if isinstance(r, Fraction) else YLaurent._normalized(
+        r.lo, [-k * x for k, x in enumerate(r.nums, r.lo)], 2 * r.den, r.hi)
+        for r in _bernoulli_eisenstein(u_order, q_order).coeffs]
+    return Series("u", 2, rows, u_order)
 
 
 @lru_cache(maxsize=None)
@@ -600,9 +599,10 @@ def _transpose_y_rows(qs, u_order):
 def log_identity_check(u_order, q_order):
     """Verify log( Delta(q) / (S(u)^2 Delta(exp(iu), q)) ) term by term.
 
-    The claim: the log equals sum_{g>=1} u^{2g} |B_2g|/(g(2g)!) E_2g(q),
-    together with the scalar expansion
-    log S(u) = sum_{g>=1} (-1)^g B_2g/(2g (2g)!) u^{2g}, S(u) = sin(u/2)/(u/2).
+    The claim: the log equals the KKV exponent
+    A = sum_{g>=1} u^{2g} |B_2g|/(g(2g)!) E_2g(q), together with the scalar
+    expansion log S(u) = sum_{g>=1} (-1)^g B_2g/(2g (2g)!) u^{2g}, S(u) = sin(u/2)/(u/2),
+    which is -1/2 A's q^0 column.
     """
     bu = u_order + 4
     bq = q_order + bu + 4
@@ -633,14 +633,8 @@ def log_identity_check(u_order, q_order):
             biv_ok = False
             break
 
-    log_s = Fraction(1, 2) * series_log(big_s2)
-    scalar_rhs = Series(
-        "u", 2,
-        [Fraction((-1) ** (j // 2)) * bernoulli(j) / (j * factorial(j))
-         if j % 2 == 0 else Fraction(0)
-         for j in range(2, log_s.order + 1)],
-        log_s.order)
-    scalar_ok = log_s == scalar_rhs
+    # exp(A at q^0) = S(u)^-2, so log S(u) is -1/2 A's q^0 column
+    scalar_ok = Fraction(1, 2) * series_log(big_s2) == Fraction(-1, 2) * u_slice(rhs, 0)
     return LogIdentityReport(u_order, q_order, biv_ok, scalar_ok)
 
 
