@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import factorial, gcd, isqrt, prod
 from operator import mul
 
 from .series import (Series, YLaurent, _as_series, _cleared, _pack, _power, _row_recurrence,
@@ -73,19 +73,20 @@ def _sigma_table(power, order):
 
 
 @lru_cache(maxsize=None)
-def _eisenstein_coeffs(weight, order):
+def _eisenstein_row(weight, order):
+    """q^0..q^order of E_weight as one int row over its denominator."""
     if weight < 2 or weight % 2:
         raise ValueError("Eisenstein weight must be a positive even integer")
-    b = bernoulli(weight)
-    factor = Fraction(-2 * weight) / b
-    sig = _sigma_table(weight - 1, order)
-    coeffs = [Fraction(1)] + [factor * sig[n] for n in range(1, order + 1)]
-    return tuple(coeffs)
+    if order < 0:
+        raise ValueError("window does not reach the constant term")
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    nums = [factor.numerator * s for s in _sigma_table(weight - 1, order)[1:]]
+    return YLaurent._normalized(0, [factor.denominator] + nums, factor.denominator, order)
 
 
 def eisenstein(weight, order):
-    """E_weight(q) = 1 - (2*weight/B_weight) * sum sigma_{weight-1}(n) q^n."""
-    return Series("q", 0, list(_eisenstein_coeffs(weight, order)), order)
+    """E_weight(q) = 1 - (2*weight/B_weight) * sum sigma_{weight-1}(n) q^n, row-backed."""
+    return _as_series(_eisenstein_row(weight, order), "q")
 
 
 def discriminant_q(order):
@@ -124,19 +125,15 @@ def _yq_eta_product(n, sign):
     return _row_recurrence([YLaurent(t) for t in terms], range(n + 1), YLaurent({0: 1}))
 
 
-# the scaled generators C_2, C_4, C_6: series plus exact element
-_C_SCALE = {2: Fraction(-1, 24), 4: Fraction(1, 2880), 6: Fraction(-1, 181440)}
-
-
 def c_form(weight, order):
-    """The scaled Eisenstein generator C_weight = -B_w/(w * w!) ... fixed form.
+    """The scaled Eisenstein generator C_weight = -B_w/(w * w!) E_w.
 
     Concretely C_2 = -E_2/24, C_4 = E_4/2880, C_6 = -E_6/181440.  Returns
     (series, element) with the element exact in the E-basis.
     """
-    if weight not in _C_SCALE:
+    if weight not in (2, 4, 6):
         raise ValueError("C-form weight must be 2, 4, or 6")
-    scale = _C_SCALE[weight]
+    scale = -bernoulli(weight) / (weight * factorial(weight))
     elem = QModElement({_unit_key(weight): scale})
     return scale * eisenstein(weight, order), elem
 
@@ -249,12 +246,11 @@ class QModElement:
         return "QModElement(" + ", ".join(bits) + ")"
 
 
-@lru_cache(maxsize=None)
 def _generator_ints(weight, order):
     """(q^0..q^order of E_weight as ints, their largest |value|) for weight 2, 4 or 6."""
-    factor = Fraction(-2 * weight) / bernoulli(weight)
-    assert factor.denominator == 1
-    ints = (1,) + tuple(factor.numerator * s for s in _sigma_table(weight - 1, order)[1:])
+    row = _eisenstein_row(weight, order)
+    assert row.den == 1
+    ints = tuple(row.nums)  # sigma(n) > 0, so the row keeps every q^0..q^order
     return ints, max(map(abs, ints))
 
 
