@@ -246,8 +246,10 @@ class QModElement:
         return "QModElement(" + ", ".join(bits) + ")"
 
 
+@lru_cache(maxsize=None)
 def _generator_ints(weight, order):
-    """(q^0..q^order of E_weight as ints, their largest |value|) for weight 2, 4 or 6."""
+    """(q^0..q^order of E_weight as ints, their largest |value|) for weight 2, 4 or 6;
+    cached, since every monomial column of a recognition reads it twice."""
     row = _eisenstein_row(weight, order)
     assert row.den == 1
     ints = tuple(row.nums)  # sigma(n) > 0, so the row keeps every q^0..q^order
